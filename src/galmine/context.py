@@ -62,15 +62,7 @@ class BinaryContext:
             row_masks.append(mask)
         if len(row_masks) != len(object_labels):
             raise ConstraintError("one row per object label required")
-        object.__setattr__(self, "_object_labels", object_labels)
-        object.__setattr__(self, "_attribute_labels", attribute_labels)
-        object.__setattr__(self, "_row_masks", tuple(row_masks))
-        cols = [0] * m
-        for i, mask in enumerate(row_masks):
-            bit = 1 << i
-            for j in bits_of(mask):
-                cols[j] |= bit
-        object.__setattr__(self, "_col_masks", tuple(cols))
+        self._set_masks(object_labels, attribute_labels, row_masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryContext is immutable")
@@ -78,17 +70,20 @@ class BinaryContext:
     @classmethod
     def _from_masks(cls, object_labels, attribute_labels, row_masks):
         ctx = cls.__new__(cls)
-        object.__setattr__(ctx, "_object_labels", tuple(object_labels))
-        object.__setattr__(ctx, "_attribute_labels", tuple(attribute_labels))
-        object.__setattr__(ctx, "_row_masks", tuple(row_masks))
-        m = len(attribute_labels)
-        cols = [0] * m
+        ctx._set_masks(object_labels, attribute_labels, row_masks)
+        return ctx
+
+    def _set_masks(self, object_labels, attribute_labels, row_masks):
+        """Store validated labels and row masks, and derive the columns."""
+        object.__setattr__(self, "_object_labels", tuple(object_labels))
+        object.__setattr__(self, "_attribute_labels", tuple(attribute_labels))
+        object.__setattr__(self, "_row_masks", tuple(row_masks))
+        cols = [0] * len(attribute_labels)
         for i, mask in enumerate(row_masks):
             bit = 1 << i
             for j in bits_of(mask):
                 cols[j] |= bit
-        object.__setattr__(ctx, "_col_masks", tuple(cols))
-        return ctx
+        object.__setattr__(self, "_col_masks", tuple(cols))
 
     # -- basic shape ---------------------------------------------------
 
@@ -274,7 +269,7 @@ def parse_tab(text: str) -> BinaryContext:
     """
     attr_order: dict[str, int] = {}
     rows = []
-    for line in text.splitlines():
+    for line in text.removeprefix("\ufeff").splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -312,6 +307,10 @@ def write_tab(ctx: BinaryContext) -> str:
 
 
 def parse_cxt(text: str) -> BinaryContext:
+    text = text.removeprefix("\ufeff")
+    if text.startswith("B\r\n"):
+        # CRLF line ends; a file with LF line ends keeps any "\r" in its labels
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

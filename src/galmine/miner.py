@@ -1,28 +1,27 @@
 """Itemset mining: frequent, frequent closed, frequent generators,
 equivalence classes and minimal rare itemsets.
 
+Every support is a tidset intersection: the objects of an itemset are
+the objects of its prefix ANDed with the column of its last item.
 Three interchangeable traversal strategies produce identical results:
 
-* ``levelwise`` — breadth-first candidate generation with subset
-  pruning; supports counted by horizontal row-containment tests.
-* ``dfs`` — vertical depth-first tidset intersection (the bitset
-  kernel's hot loop).
+* ``levelwise`` — breadth-first Apriori join and subset pruning, keeping
+  the tidsets of the previous level's frequent sets only.
+* ``dfs`` — depth-first tidset intersection (Eclat).
 * ``hybrid`` — levelwise over generator candidates only, with closures
   computed per equivalence class, then expansion of each class into its
   member itemsets.
 
 All outputs are canonically ordered (itemsets by size then id-lex,
 classes by support descending then closed-set lex), so results are
-byte-stable regardless of backend or scheduling.
+byte-stable regardless of strategy.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from galmine import _kernel
-from galmine._bitset import bits_of, mask_of
+from galmine._bitset import bits_of
 from galmine.context import BinaryContext, Itemset
 from galmine.errors import ConstraintError
 
@@ -103,24 +102,48 @@ def _levelwise(ctx: BinaryContext, minsup: int):
     rare: list[tuple[Itemset, int]] = []
     if minsup > ctx.n_objects:
         return table, rare
-    row_masks = ctx.row_masks
-    m = ctx.n_attributes
-    candidates: list[Itemset] = [(j,) for j in range(m)]
+    cols = ctx.column_masks
+    tids: dict[Itemset, int] = {(): (1 << ctx.n_objects) - 1}
+    candidates: list[Itemset] = [(j,) for j in range(ctx.n_attributes)]
     while candidates:
-        supports = _kernel.count_containing_rows(row_masks, [mask_of(c) for c in candidates], m)
-        frequent = []
-        for cand, s in zip(candidates, supports):
+        frequent: dict[Itemset, int] = {}
+        for cand in candidates:
+            t = tids[cand[:-1]] & cols[cand[-1]]
+            s = t.bit_count()
             if s >= minsup:
                 table[cand] = s
-                frequent.append(cand)
+                frequent[cand] = t
             else:
                 rare.append((cand, s))
-        candidates = _join_candidates(frequent)
+        tids = frequent
+        candidates = _join_candidates(list(frequent))
     return table, rare
 
 
 def _dfs(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
-    return dict(_kernel.mine_vertical(ctx.column_masks, ctx.n_objects, minsup))
+    """Support table by depth-first tidset intersection.
+
+    At each node every candidate extension is counted (and recorded if
+    frequent) in ascending id order before the frequent ones are
+    descended into.  Recursion depth equals the size of the largest
+    frequent itemset.
+    """
+    table: dict[Itemset, int] = {}
+    cols = ctx.column_masks
+
+    def visit(prefix, tid, candidates):
+        kept = []
+        for j in candidates:
+            t = tid & cols[j]
+            s = t.bit_count()
+            if s >= minsup:
+                table[prefix + (j,)] = s
+                kept.append((j, t))
+        for idx, (j, t) in enumerate(kept):
+            visit(prefix + (j,), t, [k for k, _ in kept[idx + 1 :]])
+
+    visit((), (1 << ctx.n_objects) - 1, range(ctx.n_attributes))
+    return table
 
 
 def _mine_class_list(ctx: BinaryContext, minsup: int):
@@ -133,28 +156,27 @@ def _mine_class_list(ctx: BinaryContext, minsup: int):
     """
     if minsup > ctx.n_objects:
         return []
-    n, m = ctx.n_objects, ctx.n_attributes
-    row_masks = ctx.row_masks
+    n = ctx.n_objects
+    cols = ctx.column_masks
     gen_support: dict[Itemset, int] = {(): n}
-    classes: dict[int, list] = {}
+    tids: dict[Itemset, int] = {(): (1 << n) - 1}
+    classes: dict[int, list] = {ctx.closure_mask(tids[()]): [n, [()]]}
 
-    c0 = ctx.closure_mask((1 << n) - 1 if n else 0)
-    classes[c0] = [n, [()]]
-
-    level: list[Itemset] = [(j,) for j in range(m)]
+    level: list[Itemset] = [(j,) for j in range(ctx.n_attributes)]
     while level:
-        supports = _kernel.count_containing_rows(row_masks, [mask_of(c) for c in level], m)
-        survivors = []
-        for cand, s in zip(level, supports):
+        survivors: dict[Itemset, int] = {}
+        for cand in level:
+            t = tids[cand[:-1]] & cols[cand[-1]]
+            s = t.bit_count()
             if s < minsup:
                 continue
             if all(gen_support[cand[:x] + cand[x + 1 :]] > s for x in range(len(cand))):
                 gen_support[cand] = s
-                survivors.append(cand)
-                cmask = ctx.closure_mask(ctx.extent_mask(cand))
-                entry = classes.setdefault(cmask, [s, []])
+                survivors[cand] = t
+                entry = classes.setdefault(ctx.closure_mask(t), [s, []])
                 entry[1].append(cand)
-        level = _join_candidates(survivors)
+        tids = survivors
+        level = _join_candidates(list(survivors))
 
     if 0 in classes:
         del classes[0]  # the empty closed set is never reported
@@ -191,29 +213,24 @@ def frequent_support_table(ctx: BinaryContext, minsup, strategy: str = "levelwis
 # -- flags and public operations -------------------------------------------
 
 
-def _with_item(items: Itemset, a: int) -> Itemset:
-    i = bisect_left(items, a)
-    return items[:i] + (a,) + items[i:]
-
-
-def _flags(items: Itemset, supp: int, table: dict[Itemset, int], n_objects: int, m: int):
-    item_set = set(items)
-    closed = all(table.get(_with_item(items, a)) != supp for a in range(m) if a not in item_set)
-    if len(items) == 1:
-        generator = n_objects > supp
-    else:
-        generator = all(table[items[:x] + items[x + 1 :]] > supp for x in range(len(items)))
-    return closed, generator
-
-
 def _sorted_mined(table: dict[Itemset, int], ctx: BinaryContext) -> list[MinedSet]:
-    n, m = ctx.n_objects, ctx.n_attributes
-    out = []
-    for items in sorted(table, key=lambda t: (len(t), t)):
-        supp = table[items]
-        closed, generator = _flags(items, supp, table, n, m)
-        out.append(MinedSet(items, supp, closed, generator))
-    return out
+    """Flag every itemset in one walk over immediate subsets: a subset
+    with equal support is not closed, and its superset is not a
+    generator.  The table is downward closed, so every non-empty subset
+    is in it; the empty set has support n."""
+    n = ctx.n_objects
+    not_closed: set[Itemset] = set()
+    not_generator: set[Itemset] = set()
+    for items, supp in table.items():
+        for x in range(len(items)):
+            sub = items[:x] + items[x + 1 :]
+            if (table[sub] if sub else n) == supp:
+                not_closed.add(sub)
+                not_generator.add(items)
+    return [
+        MinedSet(items, table[items], items not in not_closed, items not in not_generator)
+        for items in sorted(table, key=lambda t: (len(t), t))
+    ]
 
 
 def mine_frequent(ctx: BinaryContext, minsup, strategy: str = "levelwise") -> list[MinedSet]:

@@ -56,7 +56,7 @@ def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
     With ``has_label_column`` the first column supplies object labels;
     otherwise labels are generated as o1, o2, ...  Non-numeric cells and
     ragged rows raise ParseError with their position."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

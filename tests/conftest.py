@@ -20,19 +20,6 @@ def k4() -> BinaryContext:
     return parse_tab(K4_TAB)
 
 
-@pytest.fixture(params=["python", "c"])
-def kernel_backend(request):
-    """Run a test under each available kernel backend."""
-    import galmine._kernel as kernel
-
-    if request.param not in kernel.available_backends():
-        pytest.skip(f"kernel backend {request.param!r} not built")
-    previous = kernel.active_backend()
-    kernel.use_backend(request.param)
-    yield request.param
-    kernel.use_backend(previous)
-
-
 def seeded_corpus(count: int, max_objects: int = 12, max_attributes: int = 8, densities=(0.2, 0.5, 0.8)):
     """Deterministic spread of random contexts for corpus-style checks."""
     out = []

@@ -202,8 +202,8 @@ def test_criterion_7_format_roundtrips(tmp_path):
         assert "=>" in rules_out
 
 
-def test_criterion_8_performance_smoke(kernel_backend):
-    with _report(8, f"performance smoke 5000x30 d=0.2 minsup 5% [{kernel_backend}]"):
+def test_criterion_8_performance_smoke():
+    with _report(8, "performance smoke 5000x30 d=0.2 minsup 5%"):
         ctx = random_context(GenSpec(rows=5000, cols=30, density=0.2, seed=99))
         start = time.perf_counter()
         dfs_result = mine_frequent(ctx, 0.05, strategy="dfs")

@@ -230,28 +230,6 @@ def test_post_topk_negative_exit3(capsys, tmp_path):
     assert code == 3
 
 
-def test_kernel_env_override_subprocess(tmp_path):
-    k4 = tmp_path / "k4.tab"
-    k4.write_text(K4_TAB)
-    import os
-
-    env = dict(os.environ, GALMINE_KERNEL="python")
-    run = subprocess.run(
-        [sys.executable, "-c", "import galmine._kernel as k; print(k.active_backend())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert run.stdout.strip() == "python"
-    forced = subprocess.run(
-        [sys.executable, "-m", "galmine", "mine", "--minsup", "2", "--strategy", "dfs", str(k4)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    default = subprocess.run(
-        [sys.executable, "-m", "galmine", "mine", "--minsup", "2", "--strategy", "dfs", str(k4)],
-        capture_output=True, text=True, check=True,
-    )
-    assert forced.stdout == default.stdout
-
-
 def test_piped_composition_subprocess(tmp_path):
     """pre transpose f | mine - equals mining the transposed file."""
     k4 = tmp_path / "k4.tab"

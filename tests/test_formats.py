@@ -110,3 +110,21 @@ def test_cxt_duplicate_names():
     bad = "B\n\n2\n1\n\no1\no1\na\nX\nX\n"
     with pytest.raises(ParseError):
         parse_cxt(bad)
+
+
+def test_cxt_crlf_line_ends(k4):
+    assert parse_cxt(K4_CXT.replace("\n", "\r\n")) == k4
+
+
+def test_cxt_lf_keeps_carriage_return_in_label():
+    ctx = parse_cxt("B\n\n1\n1\n\no1\r\na\nX\n")
+    assert ctx.object_labels == ("o1\r",)
+
+
+def test_cxt_utf8_bom(k4):
+    assert parse_cxt("\ufeff" + K4_CXT) == k4
+    assert parse_cxt("\ufeff" + K4_CXT.replace("\n", "\r\n")) == k4
+
+
+def test_parse_tab_utf8_bom(k4):
+    assert parse_tab("\ufeff" + K4_TAB) == k4

@@ -42,7 +42,7 @@ def test_resolve_minsup_empty_context_relative():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_frequent_k4_minsup2(k4, strategy, kernel_backend):
+def test_frequent_k4_minsup2(k4, strategy):
     fi = mine_frequent(k4, 2, strategy=strategy)
     assert as_pairs(fi) == [
         ((0,), 3),
@@ -168,7 +168,7 @@ def test_minimal_rare_above_n(k4):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_strategies_match_oracle_on_corpus(strategy, kernel_backend):
+def test_strategies_match_oracle_on_corpus(strategy):
     for ctx in seeded_corpus(30, max_objects=8, max_attributes=6):
         rows = [frozenset(r) for r in ctx.rows]
         for minsup in (1, 2):

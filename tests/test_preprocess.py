@@ -19,6 +19,13 @@ def test_parse_csv_label_column():
     assert t.rows == ((1.5,),)
 
 
+def test_parse_csv_utf8_bom():
+    assert parse_csv("\ufeffx,y\n1,2\n") == parse_csv("x,y\n1,2\n")
+    t = parse_csv("\ufeffid,x\r\no1,1\r\n", has_label_column=True)
+    assert t.column_names == ("x",)
+    assert t.object_labels == ("o1",)
+
+
 def test_parse_csv_non_numeric():
     with pytest.raises(ParseError, match=r"row 1.*column x"):
         parse_csv("x\nfoo\n")
