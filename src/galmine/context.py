@@ -68,22 +68,23 @@ class BinaryContext:
         raise AttributeError("BinaryContext is immutable")
 
     @classmethod
-    def _from_masks(cls, object_labels, attribute_labels, row_masks):
+    def _from_masks(cls, object_labels, attribute_labels, row_masks, col_masks=None):
         ctx = cls.__new__(cls)
-        ctx._set_masks(object_labels, attribute_labels, row_masks)
+        ctx._set_masks(object_labels, attribute_labels, row_masks, col_masks)
         return ctx
 
-    def _set_masks(self, object_labels, attribute_labels, row_masks):
-        """Store validated labels and row masks, and derive the columns."""
+    def _set_masks(self, object_labels, attribute_labels, row_masks, col_masks=None):
+        """Store validated labels and row masks, and columns unless given."""
         object.__setattr__(self, "_object_labels", tuple(object_labels))
         object.__setattr__(self, "_attribute_labels", tuple(attribute_labels))
         object.__setattr__(self, "_row_masks", tuple(row_masks))
-        cols = [0] * len(attribute_labels)
-        for i, mask in enumerate(row_masks):
-            bit = 1 << i
-            for j in bits_of(mask):
-                cols[j] |= bit
-        object.__setattr__(self, "_col_masks", tuple(cols))
+        if col_masks is None:
+            col_masks = [0] * len(attribute_labels)
+            for i, mask in enumerate(row_masks):
+                bit = 1 << i
+                for j in bits_of(mask):
+                    col_masks[j] |= bit
+        object.__setattr__(self, "_col_masks", tuple(col_masks))
 
     # -- basic shape ---------------------------------------------------
 
@@ -185,11 +186,10 @@ class BinaryContext:
         return bits_of(self.closure_mask(self.extent_mask(items)))
 
     def closure_mask(self, extent_mask: int) -> int:
-        mask = (1 << self.n_attributes) - 1
-        while extent_mask:
-            low = extent_mask & -extent_mask
-            mask &= self._row_masks[low.bit_length() - 1]
-            extent_mask ^= low
+        mask = 0
+        for j, col in enumerate(self._col_masks):
+            if extent_mask & col == extent_mask:
+                mask |= 1 << j
         return mask
 
     def support(self, items) -> int:
@@ -200,7 +200,7 @@ class BinaryContext:
 
     def transpose(self) -> "BinaryContext":
         """Swap objects and attributes; cell (i, j) becomes cell (j, i)."""
-        return BinaryContext._from_masks(self._attribute_labels, self._object_labels, self._col_masks)
+        return BinaryContext._from_masks(self._attribute_labels, self._object_labels, self._col_masks, self._row_masks)
 
     def complement(self) -> "BinaryContext":
         """Negate every cell; labels unchanged."""
@@ -269,7 +269,9 @@ def parse_tab(text: str) -> BinaryContext:
     """
     attr_order: dict[str, int] = {}
     rows = []
-    for line in text.removeprefix("\ufeff").splitlines():
+    # not str.splitlines(): U+0085, U+2028, "\x1c" etc. are whitespace, not line ends
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for line in text.split("\n"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -354,6 +356,7 @@ def write_cxt(ctx: BinaryContext) -> str:
     lines = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     lines.extend(ctx.object_labels)
     lines.extend(ctx.attribute_labels)
-    for mask in ctx.row_masks:
-        lines.append("".join("X" if mask >> j & 1 else "." for j in range(ctx.n_attributes)))
+    m = ctx.n_attributes
+    # bit j is character j from the right; with m == 0 the format still gives "0"
+    lines.extend(f"{mask:0{m}b}"[::-1].replace("0", ".").replace("1", "X") if m else "" for mask in ctx.row_masks)
     return "\n".join(lines) + "\n"

@@ -2,15 +2,16 @@
 
 A concept is a mutually closed (extent, intent) pair; the lattice holds
 every concept plus the covering relation (the transitive reduction of
-intent containment).  Construction enumerates all closed attribute sets
-with Next-Closure, then computes covers by intermediate elimination,
-which is comfortable at the guarded scale.
+intent containment).  Construction enumerates the intents with
+Next-Closure and takes as lower covers of each concept the minimal
+intents strictly above its own, from their superset index.
 """
 
 import json
 from dataclasses import dataclass
 
 from galmine._bitset import bits_of
+from galmine.closures import context_closure, covers, lectic_closed, superset_index
 from galmine.context import BinaryContext, Itemset, TidSet
 from galmine.errors import ResourceError
 
@@ -39,49 +40,12 @@ def build_lattice(ctx: BinaryContext, max_attributes: int = 20) -> ConceptLattic
     if m > max_attributes:
         raise ResourceError(f"context has {m} attributes, above the lattice guard of {max_attributes}")
 
-    def closure_of(mask: int) -> int:
-        return ctx.closure_mask(ctx.extent_mask(bits_of(mask)))
-
-    full = (1 << m) - 1
-    closed_masks = []
-    a = closure_of(0)
-    while True:
-        closed_masks.append(a)
-        if a == full:
-            break
-        nxt = None
-        for i in reversed(range(m)):
-            bit = 1 << i
-            if a & bit:
-                a &= ~bit
-            else:
-                b = closure_of(a | bit)
-                if not (b & ~a) & (bit - 1):
-                    nxt = b
-                    break
-        if nxt is None:
-            break
-        a = nxt
-
-    closed_masks.sort(key=lambda c: (c.bit_count(), bits_of(c)))
+    closed_masks = sorted(lectic_closed(m, context_closure(ctx)), key=lambda c: (c.bit_count(), bits_of(c)))
     concepts = tuple(
         Concept(extent=bits_of(ctx.extent_mask(bits_of(c))), intent=bits_of(c)) for c in closed_masks
     )
-
-    edges = []
-    count = len(closed_masks)
-    for low in range(count):
-        ml = closed_masks[low]
-        accepted: list[int] = []
-        for up in range(count - 1, -1, -1):  # intent size descending
-            mu = closed_masks[up]
-            if mu == ml or mu & ~ml:
-                continue
-            if any(mu & ~ma == 0 for ma in accepted):
-                continue
-            accepted.append(mu)
-            edges.append((up, low))
-    edges.sort()
+    supersets = superset_index(closed_masks)
+    edges = [(up, low) for up in range(len(closed_masks)) for low in covers(supersets, up)]
     return ConceptLattice(
         concepts=concepts,
         cover_edges=tuple(edges),

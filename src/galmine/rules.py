@@ -11,6 +11,10 @@ Measures, for a rule X -> Y over N objects with xy = supp(X ∪ Y):
 * confidence = xy / supp(X)
 * lift       = xy * N / (supp(X) * supp(Y))
 * conviction = (1 - supp(Y)/N) / (1 - confidence), +inf at confidence 1
+
+The closed rule bases read the sets above each closed set, or only its
+covers, from one superset index; the Duquenne-Guigues basis runs the
+lattice's Next-Closure enumerator (both in ``galmine.closures``).
 """
 
 import json
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from galmine._bitset import bits_of, mask_of
+from galmine.closures import context_closure, covers, lectic_closed, superset_index
 from galmine.context import BinaryContext, Itemset
 from galmine.errors import ConstraintError, ParseError, ResourceError
 from galmine.miner import (
@@ -97,6 +102,28 @@ def _diff(whole: Itemset, part: Itemset) -> Itemset:
     return tuple(a for a in whole if a not in part_set)
 
 
+def _closed_uppers(ctx: BinaryContext, minsup, reduced: bool = False):
+    """The frequent classes, smallest closed set first as ``covers`` needs
+    (rule lists are sorted afterwards), and per class the indices of the
+    closed sets above it, or with ``reduced`` of its covers only."""
+    classes = sorted(_mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects)), key=lambda c: len(c[0]))
+    supersets = superset_index([mask_of(c) for c, _, _ in classes])
+    return classes, [covers(supersets, k) if reduced else bits_of(supersets(k)) for k in range(len(classes))]
+
+
+def _confident_uppers(classes, uppers_of, minconf):
+    """(class, upper) pairs from ``uppers_of`` with supp(upper) / supp(class) >= minconf."""
+    for c, uppers in zip(classes, uppers_of):
+        for k in uppers:
+            if classes[k][1] / c[1] >= minconf:
+                yield c, classes[k]
+
+
+def _exact_rules(ctx: BinaryContext, closed_items: Itemset, supp: int, gens) -> list[AssociationRule]:
+    """g -> closed\\g for each non-empty generator g other than the closed set."""
+    return [_rule(ctx, g, _diff(closed_items, g), supp, supp) for g in gens if g and g != closed_items]
+
+
 def all_rules(ctx: BinaryContext, minsup, minconf) -> list[AssociationRule]:
     """Every rule X -> Z\\X with Z frequent, X a non-empty proper subset,
     and confidence >= minconf."""
@@ -117,12 +144,8 @@ def all_rules(ctx: BinaryContext, minsup, minconf) -> list[AssociationRule]:
 def generic_basis(ctx: BinaryContext, minsup) -> list[AssociationRule]:
     """Exact rules g -> closure(g)\\g for every frequent non-empty
     generator with a proper closure; confidence is always 1."""
-    out = []
-    for closed_items, supp, gens in _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects)):
-        for g in gens:
-            if g and g != closed_items:
-                out.append(_rule(ctx, g, _diff(closed_items, g), supp, supp))
-    return _sort_rules(out)
+    classes = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    return _sort_rules([rule for c in classes for rule in _exact_rules(ctx, *c)])
 
 
 def mnr_rules(ctx: BinaryContext, minsup, minconf, reduced: bool = False) -> list[AssociationRule]:
@@ -132,32 +155,10 @@ def mnr_rules(ctx: BinaryContext, minsup, minconf, reduced: bool = False) -> lis
     the immediate successors (covers) of closure(g) in the closed-set
     containment order."""
     _check_minconf(minconf)
-    classes = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
-    closed_masks = [mask_of(c) for c, _, _ in classes]
-    supports = [supp for _, supp, _ in classes]
-    out = []
-    for idx, (closed_items, supp, gens) in enumerate(classes):
-        cmask = closed_masks[idx]
-        for g in gens:
-            if g and g != closed_items:
-                out.append(_rule(ctx, g, _diff(closed_items, g), supp, supp))
-        uppers = [k for k, fmask in enumerate(closed_masks) if cmask & ~fmask == 0 and fmask != cmask]
-        if reduced:
-            uppers = [
-                k
-                for k in uppers
-                if not any(
-                    closed_masks[w] & ~closed_masks[k] == 0 and closed_masks[w] != closed_masks[k]
-                    for w in uppers
-                )
-            ]
-        for k in uppers:
-            supp_f = supports[k]
-            if supp_f / supp >= minconf:
-                f_items = classes[k][0]
-                for g in gens:
-                    if g:
-                        out.append(_rule(ctx, g, _diff(f_items, g), supp_f, supp))
+    classes, uppers_of = _closed_uppers(ctx, minsup, reduced)
+    out = [rule for c in classes for rule in _exact_rules(ctx, *c)]
+    for (_, supp, gens), (f_items, supp_f, _) in _confident_uppers(classes, uppers_of, minconf):
+        out += [_rule(ctx, g, _diff(f_items, g), supp_f, supp) for g in gens if g]
     return _sort_rules(out)
 
 
@@ -167,9 +168,7 @@ def rare_rules(ctx: BinaryContext, minsup) -> list[AssociationRule]:
     out = []
     for s in mine_minimal_rare(ctx, minsup):
         if s.support >= 1 and s.is_generator:
-            closed = ctx.closure(s.items)
-            if closed != s.items:
-                out.append(_rule(ctx, s.items, _diff(closed, s.items), s.support, s.support))
+            out += _exact_rules(ctx, ctx.closure(s.items), s.support, [s.items])
     return _sort_rules(out)
 
 
@@ -177,14 +176,8 @@ def closed_rules(ctx: BinaryContext, minsup, minconf) -> list[AssociationRule]:
     """Rules X -> Y\\X between frequent closed sets X ⊊ Y, filtered by
     confidence."""
     _check_minconf(minconf)
-    classes = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
-    masks = [mask_of(c) for c, _, _ in classes]
-    out = []
-    for i, (x_items, supp_x, _) in enumerate(classes):
-        for j, (y_items, supp_y, _) in enumerate(classes):
-            if masks[i] & ~masks[j] == 0 and masks[i] != masks[j] and supp_y / supp_x >= minconf:
-                out.append(_rule(ctx, x_items, _diff(y_items, x_items), supp_y, supp_x))
-    return _sort_rules(out)
+    pairs = _confident_uppers(*_closed_uppers(ctx, minsup), minconf)
+    return _sort_rules([_rule(ctx, x, _diff(y, x), supp_y, supp_x) for (x, supp_x, _), (y, supp_y, _) in pairs])
 
 
 def duquenne_guigues(ctx: BinaryContext, max_attributes: int = 20) -> list[AssociationRule]:
@@ -202,7 +195,6 @@ def duquenne_guigues(ctx: BinaryContext, max_attributes: int = 20) -> list[Assoc
         raise ResourceError(
             f"context has {m} attributes, above the Duquenne-Guigues guard of {max_attributes}"
         )
-    full = (1 << m) - 1
     implications: list[tuple[int, int]] = []
 
     def preclose(mask: int) -> int:
@@ -215,36 +207,14 @@ def duquenne_guigues(ctx: BinaryContext, max_attributes: int = 20) -> list[Assoc
                     changed = True
         return mask
 
-    def ctx_closure(mask: int) -> int:
-        return ctx.closure_mask(ctx.extent_mask(bits_of(mask)))
-
-    def next_preclosed(mask: int):
-        for i in reversed(range(m)):
-            bit = 1 << i
-            if mask & bit:
-                mask &= ~bit
-            else:
-                b = preclose(mask | bit)
-                if not (b & ~mask) & (bit - 1):
-                    return b
-        return None
-
-    found: list[tuple[int, int]] = []
-    a = preclose(0)
-    while True:
+    ctx_closure = context_closure(ctx)
+    # lazy: an implication found here already saturates the next set
+    for a in lectic_closed(m, preclose):
         c = ctx_closure(a)
         if c != a:
             implications.append((a, c))
-            found.append((a, c))
-        if a == full:
-            break
-        a = next_preclosed(a)
-        if a is None:
-            break
-
-    found.sort(key=lambda pc: (pc[0].bit_count(), bits_of(pc[0])))
     out = []
-    for p, c in found:
+    for p, c in sorted(implications, key=lambda pc: (pc[0].bit_count(), bits_of(pc[0]))):
         p_items = bits_of(p)
         supp = ctx.extent_mask(p_items).bit_count()
         out.append(_rule(ctx, p_items, bits_of(c & ~p), supp, supp))

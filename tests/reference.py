@@ -1,18 +1,40 @@
-"""Horizontal support counting, kept as a test-only reference.
+"""Replaced implementations, kept as test-only references.
 
-This is the levelwise miner as it was before supports were counted by
-tidset intersection: every candidate's support is the number of rows
-whose attribute mask contains the candidate's mask, and closed flags
-are found by probing every one-item superset.  Unlike the powerset
-oracle it scales past 8 attributes, so it checks the vertical miners
-on wider contexts.  Results use the library's types and canonical
-orders, so they compare with ``==``.
+Unlike the powerset oracle these scale past 8 attributes, so they check
+the library on wider contexts.  Results use the library's types and
+canonical orders, so they compare with ``==``.
+
+* Horizontal support counting: the levelwise miner as it was before
+  supports were counted by tidset intersection.  Every candidate's
+  support is the number of rows whose attribute mask contains the
+  candidate's mask, and closed flags are found by probing every one-item
+  superset.
+* The row-wise closure: the AND of the rows of an extent's objects.
+  ``BinaryContext.closure_mask`` tests each column against the extent.
+* The closed-set structure as it was before ``galmine.closures``: one
+  Next-Closure loop per caller, lattice covers by pairwise intermediate
+  elimination, and pairwise upper-set scans in the closed rule bases.
 """
 
 from bisect import bisect_left
 
 from galmine._bitset import bits_of, mask_of
 from galmine.miner import EquivalenceClass, MinedSet, _join_candidates, resolve_minsup
+from galmine.rules import _diff, _rule, _sort_rules
+
+
+def closure_mask(ctx, extent):
+    """``ctx.closure_mask``, row-wise."""
+    mask = (1 << ctx.n_attributes) - 1
+    while extent:
+        low = extent & -extent
+        mask &= ctx.row_masks[low.bit_length() - 1]
+        extent ^= low
+    return mask
+
+
+def _close(ctx, mask):
+    return closure_mask(ctx, ctx.extent_mask(bits_of(mask)))
 
 
 def _count(ctx, candidates):
@@ -68,10 +90,10 @@ def frequent(ctx, minsup):
 def minimal_rare(ctx, minsup):
     """``mine_minimal_rare``: the failing candidates of the levelwise run."""
     table, rare = _levelwise(ctx, resolve_minsup(minsup, ctx.n_objects))
-    out = [
-        MinedSet(items, supp, ctx.closure(items) == items, _generator(items, supp, table, ctx.n_objects))
-        for items, supp in rare
-    ]
+    out = []
+    for items, supp in rare:
+        closed = _close(ctx, mask_of(items)) == mask_of(items)
+        out.append(MinedSet(items, supp, closed, _generator(items, supp, table, ctx.n_objects)))
     out.sort(key=lambda s: (len(s.items), s.items))
     return out
 
@@ -84,7 +106,7 @@ def equivalence_classes(ctx, minsup):
         return []
     n = ctx.n_objects
     gen_support = {(): n}
-    classes = {ctx.closure_mask((1 << n) - 1): [n, [()]]}
+    classes = {closure_mask(ctx, (1 << n) - 1): [n, [()]]}
     level = [(j,) for j in range(ctx.n_attributes)]
     while level:
         survivors = []
@@ -92,9 +114,119 @@ def equivalence_classes(ctx, minsup):
             if s >= minsup and all(gen_support[cand[:x] + cand[x + 1 :]] > s for x in range(len(cand))):
                 gen_support[cand] = s
                 survivors.append(cand)
-                classes.setdefault(ctx.closure_mask(ctx.extent_mask(cand)), [s, []])[1].append(cand)
+                classes.setdefault(_close(ctx, mask_of(cand)), [s, []])[1].append(cand)
         level = _join_candidates(survivors)
     classes.pop(0, None)
     out = [EquivalenceClass(bits_of(c), tuple(gens), supp) for c, (supp, gens) in classes.items()]
     out.sort(key=lambda c: (-c.support, c.closed_set))
     return out
+
+
+def _next_closed(a, m, close):
+    """The lectic successor of the closed set ``a`` other than the full set."""
+    for i in reversed(range(m)):
+        bit = 1 << i
+        if a & bit:
+            a &= ~bit
+        else:
+            b = close(a | bit)
+            if not (b & ~a) & (bit - 1):
+                return b
+    raise AssertionError("no lectic successor")
+
+
+def lattice(ctx):
+    """``build_lattice`` as (intents, cover edges): covers by intermediate
+    elimination, each lower concept accepting the largest intents below
+    its own that lie under no intent it already accepted."""
+    m = ctx.n_attributes
+    full = (1 << m) - 1
+    closed = [_close(ctx, 0)]
+    while closed[-1] != full:
+        closed.append(_next_closed(closed[-1], m, lambda a: _close(ctx, a)))
+    closed.sort(key=lambda c: (c.bit_count(), bits_of(c)))
+    edges = []
+    for low in range(len(closed)):
+        ml = closed[low]
+        accepted = []
+        for up in range(len(closed) - 1, -1, -1):
+            mu = closed[up]
+            if mu == ml or mu & ~ml:
+                continue
+            if any(mu & ~ma == 0 for ma in accepted):
+                continue
+            accepted.append(mu)
+            edges.append((up, low))
+    return [bits_of(c) for c in closed], sorted(edges)
+
+
+def duquenne_guigues(ctx):
+    """``duquenne_guigues``: Next-Closure over implication saturation,
+    stepping one set at a time with the implications found so far."""
+    m = ctx.n_attributes
+    full = (1 << m) - 1
+    implications = []
+
+    def preclose(mask):
+        changed = True
+        while changed:
+            changed = False
+            for p, c in implications:
+                if p & ~mask == 0 and p != mask and c & ~mask:
+                    mask |= c
+                    changed = True
+        return mask
+
+    a = preclose(0)
+    while True:
+        c = _close(ctx, a)
+        if c != a:
+            implications.append((a, c))
+        if a == full:
+            break
+        a = _next_closed(a, m, preclose)
+    out = []
+    for p, c in sorted(implications, key=lambda pc: (pc[0].bit_count(), bits_of(pc[0]))):
+        supp = ctx.extent_mask(bits_of(p)).bit_count()
+        out.append(_rule(ctx, bits_of(p), bits_of(c & ~p), supp, supp))
+    return out
+
+
+def _class_list(ctx, minsup):
+    return [(c.closed_set, c.support, c.generators) for c in equivalence_classes(ctx, minsup)]
+
+
+def mnr_rules(ctx, minsup, minconf, reduced=False):
+    """``mnr_rules``: upper sets by a scan over every closed set and, with
+    ``reduced``, covers by a pairwise filter over the upper sets."""
+    classes = _class_list(ctx, minsup)
+    masks = [mask_of(c) for c, _, _ in classes]
+    out = []
+    for cmask, (closed_items, supp, gens) in zip(masks, classes):
+        for g in gens:
+            if g and g != closed_items:
+                out.append(_rule(ctx, g, _diff(closed_items, g), supp, supp))
+        uppers = [k for k, fmask in enumerate(masks) if cmask & ~fmask == 0 and fmask != cmask]
+        if reduced:
+            uppers = [
+                k for k in uppers if not any(masks[w] & ~masks[k] == 0 and masks[w] != masks[k] for w in uppers)
+            ]
+        for k in uppers:
+            f_items, supp_f, _ = classes[k]
+            if supp_f / supp >= minconf:
+                for g in gens:
+                    if g:
+                        out.append(_rule(ctx, g, _diff(f_items, g), supp_f, supp))
+    return _sort_rules(out)
+
+
+def closed_rules(ctx, minsup, minconf):
+    """``closed_rules``: a pairwise scan over the frequent closed sets."""
+    classes = _class_list(ctx, minsup)
+    masks = [mask_of(c) for c, _, _ in classes]
+    out = []
+    for i, (x_items, supp_x, _) in enumerate(classes):
+        for j, (y_items, supp_y, _) in enumerate(classes):
+            if masks[i] & ~masks[j] == 0 and masks[i] != masks[j] and supp_y / supp_x >= minconf:
+                out.append(_rule(ctx, x_items, _diff(y_items, x_items), supp_y, supp_x))
+    return _sort_rules(out)

@@ -37,6 +37,19 @@ def test_parse_tab_empty_input():
         parse_tab("# only comments\n\n")
 
 
+def test_parse_tab_only_cr_and_lf_end_lines():
+    ctx = parse_tab("a\x85b\n")
+    assert ctx.n_objects == 1
+    assert ctx.attribute_labels == ("a", "b")
+    assert parse_tab("a\u2028b\x1cc\n").rows == ((0, 1, 2),)
+
+
+def test_parse_tab_cr_and_crlf_line_ends(k4):
+    assert parse_tab(K4_TAB.replace("\n", "\r\n")) == k4
+    assert parse_tab(K4_TAB.replace("\n", "\r")) == k4
+    assert parse_tab("a\r\n\r\nb\r").rows == ((0,), (1,))
+
+
 def test_parse_tab_k4(k4):
     assert k4.stats().ones == 10
     assert k4.stats().density == 0.625

@@ -76,7 +76,9 @@ def test_galois_duality(ctx):
 
 @given(contexts())
 def test_involutions(ctx):
-    assert ctx.transpose().transpose() == ctx
+    t = ctx.transpose()
+    assert t.column_masks == BinaryContext(t.object_labels, t.attribute_labels, t.rows).column_masks
+    assert t.transpose() == ctx
     assert ctx.complement().complement() == ctx
     assert ctx.project(keep_objects=ctx.object_labels, keep_attributes=ctx.attribute_labels) == ctx
 

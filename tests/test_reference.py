@@ -1,9 +1,19 @@
-"""The vertical miners against the horizontal reference on contexts wider
+"""The library against the implementations it replaced, on contexts wider
 than the powerset oracle's 8 attributes."""
 
 import pytest
 
-from galmine import GenSpec, mine_equivalence_classes, mine_frequent, mine_minimal_rare, random_context
+from galmine import (
+    GenSpec,
+    build_lattice,
+    closed_rules,
+    duquenne_guigues,
+    mine_equivalence_classes,
+    mine_frequent,
+    mine_minimal_rare,
+    mnr_rules,
+    random_context,
+)
 from galmine.miner import STRATEGIES
 
 import reference
@@ -39,3 +49,36 @@ def test_miners_match_horizontal_reference(seed, rows, cols, density, minsups):
             assert mine_frequent(ctx, minsup, strategy=strategy) == want, strategy
         assert mine_minimal_rare(ctx, minsup) == reference.minimal_rare(ctx, minsup)
         assert mine_equivalence_classes(ctx, minsup) == reference.equivalence_classes(ctx, minsup)
+
+
+# rows, cols, density, minsup, minconf: 9 to 20 attributes (the lattice and
+# Duquenne-Guigues guard), each giving a few hundred closed sets
+CLOSED_CASES = [
+    (200, 9, 0.5, 2, 0.5),
+    (40, 10, 0.5, 1, 0.3),
+    (100, 11, 0.45, 0.03, 0.6),
+    (60, 12, 0.5, 2, 0.5),
+    (30, 13, 0.5, 1, 0.7),
+    (80, 14, 0.3, 2, 0.4),
+    (25, 15, 0.5, 1, 0.5),
+    (50, 16, 0.3, 0.04, 0.5),
+    (20, 17, 0.4, 1, 0.3),
+    (40, 18, 0.25, 2, 0.5),
+    (15, 19, 0.5, 1, 0.6),
+    (30, 20, 0.3, 2, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, rows, cols, density, minsup, minconf",
+    [(seed, *case) for seed, case in enumerate(CLOSED_CASES)],
+    ids=[f"{r}x{c}-d{d}" for r, c, d, _, _ in CLOSED_CASES],
+)
+def test_closed_set_structure_matches_pairwise_reference(seed, rows, cols, density, minsup, minconf):
+    ctx = random_context(GenSpec(rows=rows, cols=cols, density=density, seed=seed))
+    lattice = build_lattice(ctx)
+    assert ([c.intent for c in lattice.concepts], list(lattice.cover_edges)) == reference.lattice(ctx)
+    assert duquenne_guigues(ctx) == reference.duquenne_guigues(ctx)
+    for reduced in (False, True):
+        assert mnr_rules(ctx, minsup, minconf, reduced=reduced) == reference.mnr_rules(ctx, minsup, minconf, reduced)
+    assert closed_rules(ctx, minsup, minconf) == reference.closed_rules(ctx, minsup, minconf)
