@@ -23,7 +23,3 @@ def bits_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()

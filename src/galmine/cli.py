@@ -14,7 +14,7 @@ import sys
 from galmine import lattice as lattice_mod
 from galmine import miner, postprocess, preprocess, rules as rules_mod, toolbox
 from galmine.context import BinaryContext
-from galmine.errors import ConstraintError, GalmineError, ParseError, ResourceError, UnknownLabelError
+from galmine.errors import ConstraintError, GalmineError, ParseError
 
 
 class _UsageError(Exception):
@@ -138,8 +138,11 @@ def _build_parser() -> _Parser:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _detect_format(path: str, override, default: str = "tab") -> str:
@@ -196,10 +199,6 @@ def _cmd_pre(args) -> int:
         table = preprocess.parse_csv(_read_text(args.input), has_label_column=args.label_column)
         ctx = preprocess.discretize(table, preprocess.BinningSpec(strategy=args.binning, bin_count=args.bins))
         sys.stdout.write(preprocess.write_context(ctx, args.out_format))
-        return 0
-    if args.pre_command == "convert":
-        fmt = _detect_format(args.input, args.in_format)
-        sys.stdout.write(preprocess.convert(args.input, fmt, args.out_format))
         return 0
     ctx = _read_context(args.input, args.in_format)
     if args.pre_command == "transpose":
@@ -319,9 +318,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ConstraintError, ResourceError, UnknownLabelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GalmineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

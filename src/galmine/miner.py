@@ -2,14 +2,26 @@
 equivalence classes and minimal rare itemsets.
 
 Every support is a tidset intersection: the objects of an itemset are
-the objects of its prefix ANDed with the column of its last item.
-Three interchangeable traversal strategies produce identical results:
+the objects of its prefix ANDed with the column of its last item.  One
+levelwise (Apriori) walk does this counting for two callers, each with
+its own test of which candidates the next level is joined from:
 
-* ``levelwise`` — breadth-first Apriori join and subset pruning, keeping
-  the tidsets of the previous level's frequent sets only.
+* the ``levelwise`` support table keeps the frequent sets;
+* the class walk keeps the frequent generators, whose closures give the
+  equivalence classes (closed sets and generators).  Its candidates
+  below the threshold are exactly the minimal rare itemsets.  A minimal
+  rare X is a candidate because its immediate subsets are frequent
+  generators: if one, Y, had supp(Y - y) = supp(Y), then
+  supp(X - y) = supp(X) would be rare too.  X is itself a generator,
+  as its proper subsets are frequent and it is not (Szathmary, Napoli
+  & Valtchev, ICTAI 2007).
+
+Three interchangeable traversal strategies produce identical tables:
+
+* ``levelwise`` — the walk above, keeping the tidsets of the previous
+  level's frequent sets only.
 * ``dfs`` — depth-first tidset intersection (Eclat).
-* ``hybrid`` — levelwise over generator candidates only, with closures
-  computed per equivalence class, then expansion of each class into its
+* ``hybrid`` — the class walk, then expansion of each class into its
   member itemsets.
 
 All outputs are canonically ordered (itemsets by size then id-lex,
@@ -95,29 +107,37 @@ def _join_candidates(prev: list[Itemset]) -> list[Itemset]:
     return out
 
 
-def _levelwise(ctx: BinaryContext, minsup: int):
-    """Support table of all frequent non-empty itemsets, plus the
-    minimal rare itemsets collected as the failing candidates."""
-    table: dict[Itemset, int] = {}
-    rare: list[tuple[Itemset, int]] = []
-    if minsup > ctx.n_objects:
-        return table, rare
+def _apriori(ctx: BinaryContext, keep) -> None:
+    """The one levelwise walk.  Each candidate's tidset is its prefix's
+    tidset ANDed with the column of its last item; ``keep(cand,
+    support, tidset)`` sees every candidate, and the next level is
+    joined from the candidates it accepts, whose tidsets are the only
+    ones held."""
     cols = ctx.column_masks
     tids: dict[Itemset, int] = {(): (1 << ctx.n_objects) - 1}
-    candidates: list[Itemset] = [(j,) for j in range(ctx.n_attributes)]
-    while candidates:
-        frequent: dict[Itemset, int] = {}
-        for cand in candidates:
+    level: list[Itemset] = [(j,) for j in range(ctx.n_attributes)]
+    while level:
+        kept: dict[Itemset, int] = {}
+        for cand in level:
             t = tids[cand[:-1]] & cols[cand[-1]]
-            s = t.bit_count()
-            if s >= minsup:
-                table[cand] = s
-                frequent[cand] = t
-            else:
-                rare.append((cand, s))
-        tids = frequent
-        candidates = _join_candidates(list(frequent))
-    return table, rare
+            if keep(cand, t.bit_count(), t):
+                kept[cand] = t
+        tids = kept
+        level = _join_candidates(list(kept))
+
+
+def _levelwise(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
+    """Support table of all frequent non-empty itemsets."""
+    table: dict[Itemset, int] = {}
+
+    def keep(cand, s, t):
+        if s >= minsup:
+            table[cand] = s
+            return True
+        return False
+
+    _apriori(ctx, keep)
+    return table
 
 
 def _dfs(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
@@ -147,40 +167,35 @@ def _dfs(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
 
 
 def _mine_class_list(ctx: BinaryContext, minsup: int):
-    """Frequent equivalence classes as (closed_items, support, generators).
+    """Frequent equivalence classes as (closed_items, support, generators),
+    plus the minimal rare itemsets as (items, support).
 
-    Generators are mined levelwise (they form an order ideal, so join +
-    prune over the previous generator level is complete); each one's
-    closure assigns it to a class.  Generator order within a class is
-    (size asc, id-lex asc) by construction.
+    The walk keeps the frequent generators (they form an order ideal,
+    so join + prune over the previous generator level is complete); each
+    one's closure assigns it to a class.  Generator order within a class
+    is (size asc, id-lex asc) by construction.  The candidates below
+    ``minsup`` are the minimal rare itemsets (see the module docstring).
     """
     if minsup > ctx.n_objects:
-        return []
+        return [], []
     n = ctx.n_objects
-    cols = ctx.column_masks
     gen_support: dict[Itemset, int] = {(): n}
-    tids: dict[Itemset, int] = {(): (1 << n) - 1}
-    classes: dict[int, list] = {ctx.closure_mask(tids[()]): [n, [()]]}
+    classes: dict[int, list] = {ctx.closure_mask((1 << n) - 1): [n, [()]]}
+    rare: list[tuple[Itemset, int]] = []
 
-    level: list[Itemset] = [(j,) for j in range(ctx.n_attributes)]
-    while level:
-        survivors: dict[Itemset, int] = {}
-        for cand in level:
-            t = tids[cand[:-1]] & cols[cand[-1]]
-            s = t.bit_count()
-            if s < minsup:
-                continue
-            if all(gen_support[cand[:x] + cand[x + 1 :]] > s for x in range(len(cand))):
-                gen_support[cand] = s
-                survivors[cand] = t
-                entry = classes.setdefault(ctx.closure_mask(t), [s, []])
-                entry[1].append(cand)
-        tids = survivors
-        level = _join_candidates(list(survivors))
+    def keep(cand, s, t):
+        if s < minsup:
+            rare.append((cand, s))
+            return False
+        if all(gen_support[cand[:x] + cand[x + 1 :]] > s for x in range(len(cand))):
+            gen_support[cand] = s
+            classes.setdefault(ctx.closure_mask(t), [s, []])[1].append(cand)
+            return True
+        return False
 
-    if 0 in classes:
-        del classes[0]  # the empty closed set is never reported
-    return [(bits_of(cmask), supp, gens) for cmask, (supp, gens) in classes.items()]
+    _apriori(ctx, keep)
+    classes.pop(0, None)  # the empty closed set is never reported
+    return [(bits_of(cmask), supp, gens) for cmask, (supp, gens) in classes.items()], rare
 
 
 def _hybrid(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
@@ -189,7 +204,7 @@ def _hybrid(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
     Classes partition the frequent collection, so the union over
     classes is complete and classes never collide on a key."""
     table: dict[Itemset, int] = {}
-    for closed_items, supp, gens in _mine_class_list(ctx, minsup):
+    for closed_items, supp, gens in _mine_class_list(ctx, minsup)[0]:
         for g in gens:
             g_set = set(g)
             rest = tuple(a for a in closed_items if a not in g_set)
@@ -200,7 +215,7 @@ def _hybrid(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
     return table
 
 
-_STRATEGY_TABLES = {"levelwise": lambda ctx, ms: _levelwise(ctx, ms)[0], "dfs": _dfs, "hybrid": _hybrid}
+_STRATEGY_TABLES = {"levelwise": _levelwise, "dfs": _dfs, "hybrid": _hybrid}
 
 
 def frequent_support_table(ctx: BinaryContext, minsup, strategy: str = "levelwise") -> dict[Itemset, int]:
@@ -243,7 +258,7 @@ def mine_frequent(ctx: BinaryContext, minsup, strategy: str = "levelwise") -> li
 def mine_closed(ctx: BinaryContext, minsup) -> list[MinedSet]:
     """The frequent closed itemsets (fixed points of closure), excluding
     the empty set."""
-    classes = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
     out = [
         MinedSet(closed_items, supp, True, closed_items in gens)
         for closed_items, supp, gens in classes
@@ -255,7 +270,7 @@ def mine_closed(ctx: BinaryContext, minsup) -> list[MinedSet]:
 def mine_generators(ctx: BinaryContext, minsup) -> list[MinedSet]:
     """The frequent non-empty itemsets with no proper subset of equal
     support (the minimal members of their equivalence classes)."""
-    classes = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
     out = [
         MinedSet(g, supp, g == closed_items, True)
         for closed_items, supp, gens in classes
@@ -269,7 +284,7 @@ def mine_generators(ctx: BinaryContext, minsup) -> list[MinedSet]:
 def mine_equivalence_classes(ctx: BinaryContext, minsup) -> list[EquivalenceClass]:
     """One class per frequent closed set, ordered by (support desc,
     closed-set lex)."""
-    classes = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
     out = [EquivalenceClass(closed_items, tuple(gens), supp) for closed_items, supp, gens in classes]
     out.sort(key=lambda c: (-c.support, c.closed_set))
     return out
@@ -277,20 +292,15 @@ def mine_equivalence_classes(ctx: BinaryContext, minsup) -> list[EquivalenceClas
 
 def mine_minimal_rare(ctx: BinaryContext, minsup) -> list[MinedSet]:
     """Itemsets below the threshold whose proper subsets are all
-    frequent: the minimal elements of the rare region, collected as the
-    failing candidates of the levelwise run.  Zero-support sets qualify
-    when their subsets are frequent."""
-    ms = resolve_minsup(minsup, ctx.n_objects)
-    table, rare = _levelwise(ctx, ms)
-    n = ctx.n_objects
-    out = []
-    for items, supp in rare:
-        closed = ctx.closure(items) == items
-        if len(items) == 1:
-            generator = n > supp
-        else:
-            generator = all(table[items[:x] + items[x + 1 :]] > supp for x in range(len(items)))
-        out.append(MinedSet(items, supp, closed, generator))
+    frequent: the minimal elements of the rare region.  Zero-support
+    sets qualify when their subsets are frequent.
+
+    They are the failing candidates of the generator walk that also
+    yields the equivalence classes, and every one is a generator: its
+    proper subsets have support >= minsup > its own.
+    """
+    _, rare = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    out = [MinedSet(items, supp, ctx.closure(items) == items, True) for items, supp in rare]
     out.sort(key=lambda s: (len(s.items), s.items))
     return out
 

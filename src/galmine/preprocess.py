@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from galmine.context import BinaryContext, parse_cxt, parse_tab, write_cxt, write_tab
@@ -50,17 +51,26 @@ class BinningSpec:
             raise ConstraintError(f"bin_count must be >= 1, got {self.bin_count}")
 
 
+def _csv_records(text: str):
+    """The CSV records of ``text``; the csv module's own errors (a field
+    over its size limit, a lone CR inside a row) become ParseError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV on line {reader.line_num}: {exc}") from None
+
+
 def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
     """Parse comma-separated numeric data with a header line.
 
     With ``has_label_column`` the first column supplies object labels;
     otherwise labels are generated as o1, o2, ...  Non-numeric cells and
     ragged rows raise ParseError with their position."""
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("CSV input is empty") from None
+    reader = _csv_records(text.removeprefix("\ufeff"))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("CSV input is empty")
     if has_label_column:
         if not header:
             raise ParseError("CSV header lacks a label column")
@@ -96,15 +106,6 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _bin_edges_width(values, bins):
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        return [lo, hi], True
-    width = (hi - lo) / bins
-    edges = [lo + k * width for k in range(bins)] + [hi]
-    return edges, False
-
-
 def _column_bins(values, spec: BinningSpec):
     """Per-value bin index plus (lo, hi) boundaries per bin.
 
@@ -112,31 +113,18 @@ def _column_bins(values, spec: BinningSpec):
     half-open except the last.  Equal-frequency cuts at the
     ceil(k*n/bins)-th order statistics; a value equal to a cut belongs
     to the lowest bin whose cut reaches it."""
-    n = len(values)
+    bins = spec.bin_count
     if spec.strategy == "width":
-        edges, constant = _bin_edges_width(values, spec.bin_count)
-        if constant:
-            return [0] * n, [(edges[0], edges[1])]
-        bins = spec.bin_count
-        lo, hi = edges[0], edges[-1]
+        lo, hi = min(values), max(values)
+        if lo == hi:
+            return [0] * len(values), [(lo, hi)]
         width = (hi - lo) / bins
-        assignment = [min(int((v - lo) / width), bins - 1) for v in values]
-        boundaries = [(edges[k], edges[k + 1]) for k in range(bins)]
-        return assignment, boundaries
+        edges = [lo + k * width for k in range(bins)] + [hi]
+        return [min(int((v - lo) / width), bins - 1) for v in values], list(zip(edges, edges[1:]))
     ordered = sorted(values)
-    cuts = [ordered[math.ceil(k * n / spec.bin_count) - 1] for k in range(1, spec.bin_count + 1)]
-    assignment = []
-    for v in values:
-        for k, cut in enumerate(cuts):
-            if v <= cut:
-                assignment.append(k)
-                break
-    boundaries = []
-    lo = ordered[0]
-    for cut in cuts:
-        boundaries.append((lo, cut))
-        lo = cut
-    return assignment, boundaries
+    n = len(values)
+    cuts = [ordered[math.ceil(k * n / bins) - 1] for k in range(1, bins + 1)]
+    return [bisect_left(cuts, v) for v in values], list(zip([ordered[0]] + cuts, cuts))
 
 
 def discretize(table: NumericTable, spec: BinningSpec) -> BinaryContext:

@@ -26,12 +26,7 @@ from galmine._bitset import bits_of, mask_of
 from galmine.closures import context_closure, covers, lectic_closed, superset_index
 from galmine.context import BinaryContext, Itemset
 from galmine.errors import ConstraintError, ParseError, ResourceError
-from galmine.miner import (
-    _levelwise,
-    _mine_class_list,
-    mine_minimal_rare,
-    resolve_minsup,
-)
+from galmine.miner import _levelwise, _mine_class_list, resolve_minsup
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ def _closed_uppers(ctx: BinaryContext, minsup, reduced: bool = False):
     """The frequent classes, smallest closed set first as ``covers`` needs
     (rule lists are sorted afterwards), and per class the indices of the
     closed sets above it, or with ``reduced`` of its covers only."""
-    classes = sorted(_mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects)), key=lambda c: len(c[0]))
+    classes = sorted(_mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))[0], key=lambda c: len(c[0]))
     supersets = superset_index([mask_of(c) for c, _, _ in classes])
     return classes, [covers(supersets, k) if reduced else bits_of(supersets(k)) for k in range(len(classes))]
 
@@ -128,7 +123,7 @@ def all_rules(ctx: BinaryContext, minsup, minconf) -> list[AssociationRule]:
     """Every rule X -> Z\\X with Z frequent, X a non-empty proper subset,
     and confidence >= minconf."""
     _check_minconf(minconf)
-    table, _ = _levelwise(ctx, resolve_minsup(minsup, ctx.n_objects))
+    table = _levelwise(ctx, resolve_minsup(minsup, ctx.n_objects))
     out = []
     for z, supp_z in table.items():
         if len(z) < 2:
@@ -144,7 +139,7 @@ def all_rules(ctx: BinaryContext, minsup, minconf) -> list[AssociationRule]:
 def generic_basis(ctx: BinaryContext, minsup) -> list[AssociationRule]:
     """Exact rules g -> closure(g)\\g for every frequent non-empty
     generator with a proper closure; confidence is always 1."""
-    classes = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
     return _sort_rules([rule for c in classes for rule in _exact_rules(ctx, *c)])
 
 
@@ -163,12 +158,17 @@ def mnr_rules(ctx: BinaryContext, minsup, minconf, reduced: bool = False) -> lis
 
 
 def rare_rules(ctx: BinaryContext, minsup) -> list[AssociationRule]:
-    """Exact rules from the minimal rare itemsets that are supported
-    generators with a proper closure; their support lies in [1, minsup)."""
+    """Exact rules g -> closure(g)\\g from the supported minimal rare
+    itemsets g with a proper closure; their support lies in [1, minsup).
+
+    The minimal rare itemsets are the failing candidates of the
+    generator walk, and each is a generator (its subsets are frequent,
+    so all have a larger support), so no generator test is needed."""
+    _, rare = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
     out = []
-    for s in mine_minimal_rare(ctx, minsup):
-        if s.support >= 1 and s.is_generator:
-            out += _exact_rules(ctx, ctx.closure(s.items), s.support, [s.items])
+    for items, supp in rare:
+        if supp:
+            out += _exact_rules(ctx, ctx.closure(items), supp, [items])
     return _sort_rules(out)
 
 
@@ -256,8 +256,11 @@ def render_rules_jsonl(rules: list[AssociationRule]) -> list[str]:
 
 
 def parse_rules_jsonl(text: str) -> list[AssociationRule]:
+    """Rules from the records of ``render_rules_jsonl``.  Records end
+    only at ``\\n`` or ``\\r\\n`` (a raw U+2028 may sit inside a label),
+    and any bad record raises ParseError naming its line."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -273,6 +276,6 @@ def parse_rules_jsonl(text: str) -> list[AssociationRule]:
                     conviction=math.inf if conv is None else float(conv),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ConstraintError) as exc:
             raise ParseError(f"bad rule record on line {lineno}: {exc}") from None
     return out

@@ -14,6 +14,17 @@ settings.load_profile("ci")
 
 K4_TAB = "a b c\na b\na c d\nb c\n"
 
+RULE_RECORD = '{"premise": ["a"], "consequent": ["b"], "support": 3, "confidence": 0.5, "lift": 1.0, "conviction": null}'
+
+# one JSON-lines rule record per way a record could once escape ParseError
+BAD_RULE_RECORDS = {
+    "infinite-support": RULE_RECORD.replace('"support": 3', '"support": Infinity'),
+    "huge-confidence": RULE_RECORD.replace('"confidence": 0.5', '"confidence": ' + "9" * 400),
+    "deep-nesting": "[" * 100_000,
+    "empty-consequent": RULE_RECORD.replace('["b"]', "[]"),
+    "overlap": RULE_RECORD.replace('["b"]', '["a", "b"]'),
+}
+
 
 @pytest.fixture
 def k4() -> BinaryContext:

@@ -6,7 +6,7 @@ import pytest
 
 from galmine.cli import main
 
-from conftest import K4_TAB
+from conftest import BAD_RULE_RECORDS, K4_TAB, RULE_RECORD
 
 
 @pytest.fixture
@@ -264,3 +264,28 @@ def test_csv_discretize_mine_pipeline_subprocess(tmp_path):
         input=pre.stdout, capture_output=True, text=True, check=True,
     )
     assert mined.stdout
+
+
+def test_non_utf8_input_exit2(capsys, tmp_path):
+    bad = tmp_path / "latin1.tab"
+    bad.write_bytes("caf\xe9 b\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "stats", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("record", BAD_RULE_RECORDS.values(), ids=BAD_RULE_RECORDS.keys())
+def test_post_topk_bad_rule_record_exit2(capsys, tmp_path, record):
+    rules_file = tmp_path / "rules.jsonl"
+    rules_file.write_text(RULE_RECORD + "\n" + record + "\n")
+    code, out, err = run_cli(capsys, "post", "topk", "--top", "1", str(rules_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "line 2" in err
+
+
+def test_pre_discretize_csv_field_over_limit_exit2(capsys, tmp_path):
+    csv = tmp_path / "vals.csv"
+    csv.write_text("a,b\n" + "1" * 131_073 + ",2\n")
+    code, out, err = run_cli(capsys, "pre", "discretize", str(csv))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")

@@ -144,3 +144,13 @@ def test_parse_write_context_dispatch():
         parse_context(K4_TAB, "xml")
     with pytest.raises(ConstraintError):
         write_context(ctx, "xml")
+
+
+def test_parse_csv_field_over_csv_limit():
+    with pytest.raises(ParseError, match="line 2"):
+        parse_csv("a,b\n" + "1" * 131_073 + ",2\n")
+
+
+def test_parse_csv_lone_cr_inside_row():
+    with pytest.raises(ParseError, match="line 2"):
+        parse_csv("a,b\n1\r2,3\n")

@@ -18,7 +18,7 @@ from galmine import (
 from galmine.rules import parse_rules_jsonl, render_rules_jsonl, render_rules_text
 
 import oracle
-from conftest import seeded_corpus
+from conftest import BAD_RULE_RECORDS, RULE_RECORD, seeded_corpus
 
 
 def rule_sig(r):
@@ -240,3 +240,20 @@ def test_rules_jsonl_bad_input():
         parse_rules_jsonl("{not json}\n")
     with pytest.raises(ParseError):
         parse_rules_jsonl('{"premise": ["a"]}\n')
+
+
+@pytest.mark.parametrize("bad", BAD_RULE_RECORDS.values(), ids=BAD_RULE_RECORDS.keys())
+def test_rules_jsonl_bad_record_is_parse_error(bad):
+    from galmine import ParseError
+
+    with pytest.raises(ParseError, match="line 2"):
+        parse_rules_jsonl(RULE_RECORD + "\n" + bad + "\n")
+
+
+def test_rules_jsonl_records_end_only_at_line_feed():
+    # a raw U+2028 or U+0085 inside a label (json.dumps with ensure_ascii=False) does not end the record
+    for sep in ("\u2028", "\x85"):
+        text = RULE_RECORD.replace('"a"', f'"x{sep}y"') + "\r\n" + RULE_RECORD + "\n"
+        first, second = parse_rules_jsonl(text)
+        assert first.premise == (f"x{sep}y",)
+        assert second.premise == ("a",)
