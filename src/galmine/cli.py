@@ -13,7 +13,7 @@ import sys
 
 from galmine import lattice as lattice_mod
 from galmine import miner, postprocess, preprocess, rules as rules_mod, toolbox
-from galmine.context import BinaryContext
+from galmine.context import BinaryContext, _read_input, _split_lines
 from galmine.errors import ConstraintError, GalmineError, ParseError
 
 
@@ -135,16 +135,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
-
-
 def _detect_format(path: str, override, default: str = "tab") -> str:
     if override:
         return override
@@ -158,7 +148,7 @@ def _read_context(path: str, override) -> BinaryContext:
     fmt = _detect_format(path, override)
     if fmt == "csv":
         raise ConstraintError("CSV input needs discretization first (see: galmine pre discretize)")
-    return preprocess.parse_context(_read_text(path), fmt)
+    return preprocess.parse_context(_read_input(path), fmt)
 
 
 def _emit(lines) -> None:
@@ -196,7 +186,7 @@ def _cmd_pre(args) -> int:
         fmt = _detect_format(args.input, args.in_format, default="csv")
         if fmt != "csv":
             raise ConstraintError("discretize expects CSV input")
-        table = preprocess.parse_csv(_read_text(args.input), has_label_column=args.label_column)
+        table = preprocess.parse_csv(_read_input(args.input), has_label_column=args.label_column)
         ctx = preprocess.discretize(table, preprocess.BinningSpec(strategy=args.binning, bin_count=args.bins))
         sys.stdout.write(preprocess.write_context(ctx, args.out_format))
         return 0
@@ -268,10 +258,9 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_post(args) -> int:
     if args.post_command == "color":
-        lines = _read_text(args.input).splitlines()
-        _emit(postprocess.colorize(lines, args.color, enabled=True))
+        _emit(postprocess.colorize(_split_lines(_read_input(args.input)), args.color, enabled=True))
         return 0
-    parsed = rules_mod.parse_rules_jsonl(_read_text(args.input))
+    parsed = rules_mod.parse_rules_jsonl(_read_input(args.input))
     if args.post_command == "filter":
         spec = postprocess.FilterSpec(
             premise_len=args.premise_len,

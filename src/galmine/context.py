@@ -15,8 +15,25 @@ Two text formats are supported:
 * CXT (Burmeister-style): header line ``B``, blank line, object count,
   attribute count, blank line, object names, attribute names, then one
   matrix line per object made of ``.`` and ``X``.
+
+Every input file, and standard input, is read by ``_read_input``: strict
+UTF-8 with no newline translation, so each format alone decides where
+its lines end.  TAB, CXT and CSV accept one leading UTF-8 BOM.
+
+======================  ===============================================
+input                   a line ends at
+======================  ===============================================
+TAB, rule JSON-lines,   ``\\n``, ``\\r\\n`` or ``\\r`` (``_split_lines``);
+``post color`` text     U+0085, U+2028, ``\\x1c`` etc. stay in the line
+CXT                     the line end after the leading ``B``: ``\\n``,
+                        ``\\r\\n`` or ``\\r``; with ``\\n`` a ``\\r`` stays
+                        in its label
+CSV                     the ``csv`` module's rule (``newline=""``): a
+                        ``\\n``, ``\\r\\n`` or ``\\r`` outside quotes
+======================  ===============================================
 """
 
+import sys
 from dataclasses import dataclass
 
 from galmine._bitset import bits_of, mask_of
@@ -259,6 +276,32 @@ class BinaryContext:
         )
 
 
+# -- input text -----------------------------------------------------------
+
+
+def _read_input(path: str) -> str:
+    """The text of file ``path``, or of standard input for ``-``, decoded
+    as strict UTF-8 with line ends untouched; a bad byte is a ParseError."""
+    if path == "-":
+        path, data = "standard input", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by ``\\n``, ``\\r\\n`` or ``\\r`` only;
+    a line end at the very end adds no empty line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 # -- TAB format -----------------------------------------------------------
 
 
@@ -269,9 +312,7 @@ def parse_tab(text: str) -> BinaryContext:
     """
     attr_order: dict[str, int] = {}
     rows = []
-    # not str.splitlines(): U+0085, U+2028, "\x1c" etc. are whitespace, not line ends
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
-    for line in text.split("\n"):
+    for line in _split_lines(text.removeprefix("\ufeff")):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -310,9 +351,9 @@ def write_tab(ctx: BinaryContext) -> str:
 
 def parse_cxt(text: str) -> BinaryContext:
     text = text.removeprefix("\ufeff")
-    if text.startswith("B\r\n"):
-        # CRLF line ends; a file with LF line ends keeps any "\r" in its labels
-        text = text.replace("\r\n", "\n")
+    if text.startswith("B\r"):
+        # CRLF or CR line ends; a file with LF line ends keeps any "\r" in its labels
+        text = text.replace("\r\n" if text.startswith("B\r\n") else "\r", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

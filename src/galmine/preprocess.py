@@ -4,11 +4,10 @@ context file-format conversion."""
 import csv
 import io
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from galmine.context import BinaryContext, parse_cxt, parse_tab, write_cxt, write_tab
+from galmine.context import BinaryContext, _read_input, parse_cxt, parse_tab, write_cxt, write_tab
 from galmine.errors import ConstraintError, ParseError
 
 CONTEXT_FORMATS = ("tab", "cxt")
@@ -52,9 +51,10 @@ class BinningSpec:
 
 
 def _csv_records(text: str):
-    """The CSV records of ``text``; the csv module's own errors (a field
-    over its size limit, a lone CR inside a row) become ParseError."""
-    reader = csv.reader(io.StringIO(text))
+    """The CSV records of ``text``, read with ``newline=""`` so that the
+    csv module alone ends rows (at LF, CRLF or CR outside quotes); its
+    own errors (a field over its size limit) become ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         yield from reader
     except csv.Error as exc:
@@ -170,11 +170,8 @@ def write_context(ctx: BinaryContext, fmt: str) -> str:
 
 
 def convert(path: str, in_format: str, out_format: str) -> str:
-    """Read a context file (``-`` for standard input), reparse and emit
-    in the target format.  Same-format conversion canonicalizes."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return write_context(parse_context(text, in_format), out_format)
+    """Read a context file (``-`` for standard input) as strict UTF-8
+    with its line ends untouched, reparse and emit in the target format.
+    Same-format conversion canonicalizes; a non-UTF-8 byte is a
+    ParseError naming its offset."""
+    return write_context(parse_context(_read_input(path), in_format), out_format)

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from galmine._bitset import bits_of, mask_of
 from galmine.closures import context_closure, covers, lectic_closed, superset_index
-from galmine.context import BinaryContext, Itemset
+from galmine.context import BinaryContext, Itemset, _split_lines
 from galmine.errors import ConstraintError, ParseError, ResourceError
 from galmine.miner import _levelwise, _mine_class_list, resolve_minsup
 
@@ -255,12 +255,32 @@ def render_rules_jsonl(rules: list[AssociationRule]) -> list[str]:
     ]
 
 
+def _field(rec: dict, key: str, valid):
+    """``rec[key]`` if ``valid`` accepts it, else ValueError."""
+    value = rec[key]
+    if not valid(value):
+        raise ValueError(f"bad {key}: {value!r}")
+    return value
+
+
+def _labels(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+def _finite_nonnegative(value) -> bool:
+    # type() is not isinstance(): a JSON true is a bool, which is an int
+    return type(value) in (int, float) and 0 <= value < math.inf
+
+
 def parse_rules_jsonl(text: str) -> list[AssociationRule]:
-    """Rules from the records of ``render_rules_jsonl``.  Records end
-    only at ``\\n`` or ``\\r\\n`` (a raw U+2028 may sit inside a label),
-    and any bad record raises ParseError naming its line."""
+    """Rules from the records of ``render_rules_jsonl``.  Records end at
+    ``\\n``, ``\\r\\n`` or ``\\r`` (a raw U+2028 may sit inside a label).
+    Premise and consequent must be lists of strings, the support an
+    integer >= 0, the confidence in (0, 1], the lift finite and >= 0 and
+    the conviction null or finite and >= 0; any bad record raises
+    ParseError naming its line."""
     out = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_split_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -268,12 +288,12 @@ def parse_rules_jsonl(text: str) -> list[AssociationRule]:
             conv = rec["conviction"]
             out.append(
                 AssociationRule(
-                    premise=tuple(rec["premise"]),
-                    consequent=tuple(rec["consequent"]),
-                    support=int(rec["support"]),
-                    confidence=float(rec["confidence"]),
-                    lift=float(rec["lift"]),
-                    conviction=math.inf if conv is None else float(conv),
+                    premise=tuple(_field(rec, "premise", _labels)),
+                    consequent=tuple(_field(rec, "consequent", _labels)),
+                    support=_field(rec, "support", lambda v: type(v) is int and v >= 0),
+                    confidence=float(_field(rec, "confidence", lambda v: _finite_nonnegative(v) and 0 < v <= 1)),
+                    lift=float(_field(rec, "lift", _finite_nonnegative)),
+                    conviction=math.inf if conv is None else float(_field(rec, "conviction", _finite_nonnegative)),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ConstraintError) as exc:

@@ -23,6 +23,19 @@ BAD_RULE_RECORDS = {
     "deep-nesting": "[" * 100_000,
     "empty-consequent": RULE_RECORD.replace('["b"]', "[]"),
     "overlap": RULE_RECORD.replace('["b"]', '["a", "b"]'),
+    "string-premise": RULE_RECORD.replace('["a"]', '"ac"'),
+    "number-label": RULE_RECORD.replace('["b"]', "[1]"),
+    "fractional-support": RULE_RECORD.replace('"support": 3', '"support": 2.9'),
+    "boolean-support": RULE_RECORD.replace('"support": 3', '"support": true'),
+    "negative-support": RULE_RECORD.replace('"support": 3', '"support": -7'),
+    "nan-confidence": RULE_RECORD.replace('"confidence": 0.5', '"confidence": NaN'),
+    "zero-confidence": RULE_RECORD.replace('"confidence": 0.5', '"confidence": 0'),
+    "confidence-above-one": RULE_RECORD.replace('"confidence": 0.5', '"confidence": 1.5'),
+    "boolean-confidence": RULE_RECORD.replace('"confidence": 0.5', '"confidence": true'),
+    "negative-lift": RULE_RECORD.replace('"lift": 1.0', '"lift": -1e308'),
+    "infinite-lift": RULE_RECORD.replace('"lift": 1.0', '"lift": Infinity'),
+    "negative-conviction": RULE_RECORD.replace('"conviction": null', '"conviction": -0.5'),
+    "nan-conviction": RULE_RECORD.replace('"conviction": null', '"conviction": NaN'),
 }
 
 

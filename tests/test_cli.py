@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from galmine import parse_cxt, write_cxt
 from galmine.cli import main
 
 from conftest import BAD_RULE_RECORDS, K4_TAB, RULE_RECORD
@@ -289,3 +291,51 @@ def test_pre_discretize_csv_field_over_limit_exit2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "pre", "discretize", str(csv))
     assert (code, out) == (2, "")
     assert err.startswith("parse error:")
+
+
+def test_stats_cxt_lf_keeps_carriage_return_in_label(capsys, tmp_path):
+    text = "B\n\n2\n2\n\no1\no2\na\rb\nc\nX.\nXX\n"
+    cxt = tmp_path / "cr-label.cxt"
+    cxt.write_bytes(text.encode("utf-8"))
+    code, out, err = run_cli(capsys, "stats", "--format", "json", str(cxt))
+    assert (code, err) == (0, "")
+    ctx = parse_cxt(text)
+    assert json.loads(out)["attribute_supports"] == dict(zip(ctx.attribute_labels, ctx.stats().attribute_supports))
+    assert ctx.attribute_labels == ("a\rb", "c")
+
+
+def test_cr_only_cxt_equals_k4(capsys, k4, k4_file, tmp_path):
+    text = write_cxt(k4).replace("\n", "\r")
+    assert parse_cxt(text) == k4
+    cxt = tmp_path / "k4-cr.cxt"
+    cxt.write_bytes(text.encode("utf-8"))
+    assert run_cli(capsys, "stats", str(cxt)) == run_cli(capsys, "stats", k4_file)
+
+
+def test_cxt_mixed_line_ends_exit2(capsys, k4, tmp_path):
+    # the line end after "B" is the file's: with LF there, a CRLF matrix line keeps its "\r"
+    head, matrix = write_cxt(k4).split("d\n")
+    cxt = tmp_path / "mixed.cxt"
+    cxt.write_bytes((head + "d\n" + matrix.replace("\n", "\r\n")).encode("utf-8"))
+    code, out, err = run_cli(capsys, "stats", str(cxt))
+    assert (code, out) == (2, "")
+    assert err == "parse error: CXT matrix line 1 has 5 characters, expected 4\n"
+
+
+@pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8"}, {"LC_ALL": "C"}], ids=["utf-8-io", "c-locale"])
+def test_non_utf8_stdin_exit2(env):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "LC_ALL", "LANG")} | env
+    run = subprocess.run(
+        [sys.executable, "-m", "galmine", "stats", "-"],
+        input="caf\xe9 b\n".encode("latin-1"), capture_output=True, env=env,
+    )
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr.startswith(b"parse error: standard input is not UTF-8 text")
+    assert b"byte offset 3" in run.stderr and b"Traceback" not in run.stderr
+
+
+def test_post_color_unicode_separators_stay_in_line(capsys, tmp_path):
+    text_file = tmp_path / "rules.txt"
+    text_file.write_bytes("a\u2028b\x85c => d\n".encode("utf-8"))
+    code, out, _ = run_cli(capsys, "post", "color", "--color", "b", str(text_file))
+    assert (code, out) == (0, "a\u2028\x1b[31mb\x1b[0m\x85c => d\n")

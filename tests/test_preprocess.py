@@ -151,6 +151,11 @@ def test_parse_csv_field_over_csv_limit():
         parse_csv("a,b\n" + "1" * 131_073 + ",2\n")
 
 
+def test_parse_csv_cr_line_ends():
+    assert parse_csv("a,b\r1,2\r3,4\r") == parse_csv("a,b\n1,2\n3,4\n")
+
+
 def test_parse_csv_lone_cr_inside_row():
-    with pytest.raises(ParseError, match="line 2"):
+    # a lone CR ends the row, as the csv module's newline="" mode has it
+    with pytest.raises(ParseError, match="row 1 has 1 data cells, expected 2"):
         parse_csv("a,b\n1\r2,3\n")

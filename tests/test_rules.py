@@ -233,6 +233,13 @@ def test_rules_jsonl_roundtrip(k4):
     assert dg_rec["conviction"] is None
 
 
+def test_rules_jsonl_roundtrip_empty_extent():
+    # attribute c holds for no object: its implication has support 0, lift 0.0 and a null conviction
+    rules = duquenne_guigues(BinaryContext(["o1", "o2"], ["a", "b", "c"], [[0], [0, 1]]))
+    assert any(r.support == 0 and r.lift == 0.0 for r in rules)
+    assert parse_rules_jsonl("\n".join(render_rules_jsonl(rules))) == rules
+
+
 def test_rules_jsonl_bad_input():
     from galmine import ParseError
 
