@@ -9,6 +9,7 @@ overridden with --in-format.
 
 import argparse
 import json
+import os
 import sys
 
 from galmine import lattice as lattice_mod
@@ -63,10 +64,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--in-format", choices=("tab", "cxt", "csv"), default=None)
 
     p = sub.add_parser("stats", help="context summary")
+    p.set_defaults(run=_cmd_stats)
     add_input(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("pre", help="pre-processing")
+    p.set_defaults(run=_cmd_pre)
     pre = p.add_subparsers(dest="pre_command", required=True)
     for name in ("transpose", "complement"):
         q = pre.add_parser(name)
@@ -89,25 +92,29 @@ def _build_parser() -> _Parser:
     q.add_argument("--out-format", choices=("tab", "cxt"), default="tab")
 
     p = sub.add_parser("mine", help="itemset mining")
+    p.set_defaults(run=_cmd_mine)
     add_input(p)
     p.add_argument("--minsup", type=_minsup_arg, default=1)
-    p.add_argument("--set", dest="family", choices=("fi", "fci", "fg", "mri"), default="fi")
+    p.add_argument("--set", dest="family", choices=_SETS, default="fi")
     p.add_argument("--strategy", choices=miner.STRATEGIES, default="levelwise")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("rules", help="association rules and implication bases")
+    p.set_defaults(run=_cmd_rules)
     add_input(p)
-    p.add_argument("--basis", choices=("all", "generic", "mnr", "rmnr", "closed", "rare", "dg"), default="all")
+    p.add_argument("--basis", choices=_BASES, default="all")
     p.add_argument("--minsup", type=_minsup_arg, default=1)
     p.add_argument("--minconf", type=float, default=0.5)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("lattice", help="concept lattice")
+    p.set_defaults(run=_cmd_lattice)
     add_input(p)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.add_argument("--label-mode", choices=("full", "reduced"), default="full")
 
     p = sub.add_parser("post", help="post-processing of rule streams")
+    p.set_defaults(run=_cmd_post)
     post = p.add_subparsers(dest="post_command", required=True)
     q = post.add_parser("filter", help="filter rule JSON-lines")
     q.add_argument("input", help="rule JSON-lines file, or -")
@@ -127,6 +134,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--color", type=_csv_list, required=True, metavar="ATTRS")
 
     p = sub.add_parser("gen", help="random context generation")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--density", type=float, default=0.5)
@@ -151,45 +159,35 @@ def _read_context(path: str, override) -> BinaryContext:
     return preprocess.parse_context(_read_input(path), fmt)
 
 
-def _emit(lines) -> None:
-    for line in lines:
-        print(line)
-
-
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> list[str]:
     ctx = _read_context(args.input, args.in_format)
     stats = ctx.stats()
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "objects": stats.n_objects,
-                    "attributes": stats.n_attributes,
-                    "ones": stats.ones,
-                    "density": stats.density,
-                    "attribute_supports": dict(zip(ctx.attribute_labels, stats.attribute_supports)),
-                }
-            )
-        )
-    else:
-        print(f"objects: {stats.n_objects}")
-        print(f"attributes: {stats.n_attributes}")
-        print(f"ones: {stats.ones}")
-        print(f"density: {stats.density}")
-        for label, supp in zip(ctx.attribute_labels, stats.attribute_supports):
-            print(f"support {label}: {supp}")
-    return 0
+        record = {
+            "objects": stats.n_objects,
+            "attributes": stats.n_attributes,
+            "ones": stats.ones,
+            "density": stats.density,
+            "attribute_supports": dict(zip(ctx.attribute_labels, stats.attribute_supports)),
+        }
+        return [json.dumps(record)]
+    return [
+        f"objects: {stats.n_objects}",
+        f"attributes: {stats.n_attributes}",
+        f"ones: {stats.ones}",
+        f"density: {stats.density}",
+        *(f"support {label}: {supp}" for label, supp in zip(ctx.attribute_labels, stats.attribute_supports)),
+    ]
 
 
-def _cmd_pre(args) -> int:
+def _cmd_pre(args) -> str:
     if args.pre_command == "discretize":
         fmt = _detect_format(args.input, args.in_format, default="csv")
         if fmt != "csv":
             raise ConstraintError("discretize expects CSV input")
         table = preprocess.parse_csv(_read_input(args.input), has_label_column=args.label_column)
         ctx = preprocess.discretize(table, preprocess.BinningSpec(strategy=args.binning, bin_count=args.bins))
-        sys.stdout.write(preprocess.write_context(ctx, args.out_format))
-        return 0
+        return preprocess.write_context(ctx, args.out_format)
     ctx = _read_context(args.input, args.in_format)
     if args.pre_command == "transpose":
         ctx = ctx.transpose()
@@ -201,65 +199,54 @@ def _cmd_pre(args) -> int:
             keep_attributes=args.keep_attributes,
             min_column_support=args.min_col_support,
         )
-    sys.stdout.write(preprocess.write_context(ctx, args.out_format))
-    return 0
+    return preprocess.write_context(ctx, args.out_format)
 
 
-def _cmd_mine(args) -> int:
+_SETS = {
+    "fi": lambda ctx, args: miner.mine_frequent(ctx, args.minsup, strategy=args.strategy),
+    "fci": lambda ctx, args: miner.mine_closed(ctx, args.minsup),
+    "fg": lambda ctx, args: miner.mine_generators(ctx, args.minsup),
+    "mri": lambda ctx, args: miner.mine_minimal_rare(ctx, args.minsup),
+}
+
+
+def _cmd_mine(args) -> list[str]:
     ctx = _read_context(args.input, args.in_format)
-    if args.family == "fi":
-        sets = miner.mine_frequent(ctx, args.minsup, strategy=args.strategy)
-    elif args.family == "fci":
-        sets = miner.mine_closed(ctx, args.minsup)
-    elif args.family == "fg":
-        sets = miner.mine_generators(ctx, args.minsup)
-    else:
-        sets = miner.mine_minimal_rare(ctx, args.minsup)
-    if args.format == "json":
-        _emit(miner.render_itemsets_jsonl(sets, ctx.attribute_labels))
-    else:
-        _emit(miner.render_itemsets_text(sets, ctx.attribute_labels))
-    return 0
+    sets = _SETS[args.family](ctx, args)
+    render = miner.render_itemsets_jsonl if args.format == "json" else miner.render_itemsets_text
+    return render(sets, ctx.attribute_labels)
 
 
-def _cmd_rules(args) -> int:
+_BASES = {
+    "all": lambda ctx, args: rules_mod.all_rules(ctx, args.minsup, args.minconf),
+    "generic": lambda ctx, args: rules_mod.generic_basis(ctx, args.minsup),
+    "mnr": lambda ctx, args: rules_mod.mnr_rules(ctx, args.minsup, args.minconf, reduced=False),
+    "rmnr": lambda ctx, args: rules_mod.mnr_rules(ctx, args.minsup, args.minconf, reduced=True),
+    "closed": lambda ctx, args: rules_mod.closed_rules(ctx, args.minsup, args.minconf),
+    "rare": lambda ctx, args: rules_mod.rare_rules(ctx, args.minsup),
+    "dg": lambda ctx, args: rules_mod.duquenne_guigues(ctx),
+}
+
+
+def _render_rules(rules, fmt: str) -> list[str]:
+    return (rules_mod.render_rules_jsonl if fmt == "json" else rules_mod.render_rules_text)(rules)
+
+
+def _cmd_rules(args) -> list[str]:
     ctx = _read_context(args.input, args.in_format)
-    basis = args.basis
-    if basis == "all":
-        out = rules_mod.all_rules(ctx, args.minsup, args.minconf)
-    elif basis == "generic":
-        out = rules_mod.generic_basis(ctx, args.minsup)
-    elif basis == "mnr":
-        out = rules_mod.mnr_rules(ctx, args.minsup, args.minconf, reduced=False)
-    elif basis == "rmnr":
-        out = rules_mod.mnr_rules(ctx, args.minsup, args.minconf, reduced=True)
-    elif basis == "closed":
-        out = rules_mod.closed_rules(ctx, args.minsup, args.minconf)
-    elif basis == "rare":
-        out = rules_mod.rare_rules(ctx, args.minsup)
-    else:
-        out = rules_mod.duquenne_guigues(ctx)
-    if args.format == "json":
-        _emit(rules_mod.render_rules_jsonl(out))
-    else:
-        _emit(rules_mod.render_rules_text(out))
-    return 0
+    return _render_rules(_BASES[args.basis](ctx, args), args.format)
 
 
-def _cmd_lattice(args) -> int:
-    ctx = _read_context(args.input, args.in_format)
-    lat = lattice_mod.build_lattice(ctx)
+def _cmd_lattice(args) -> str:
+    lat = lattice_mod.build_lattice(_read_context(args.input, args.in_format))
     if args.dot:
-        sys.stdout.write(lattice_mod.export_dot(lat, label_mode=args.label_mode))
-    else:
-        print(lattice_mod.export_json(lat))
-    return 0
+        return lattice_mod.export_dot(lat, label_mode=args.label_mode)
+    return lattice_mod.export_json(lat) + "\n"
 
 
-def _cmd_post(args) -> int:
+def _cmd_post(args) -> list[str]:
     if args.post_command == "color":
-        _emit(postprocess.colorize(_split_lines(_read_input(args.input)), args.color, enabled=True))
-        return 0
+        return postprocess.colorize(_split_lines(_read_input(args.input)), args.color, enabled=True)
     parsed = rules_mod.parse_rules_jsonl(_read_input(args.input))
     if args.post_command == "filter":
         spec = postprocess.FilterSpec(
@@ -272,35 +259,41 @@ def _cmd_post(args) -> int:
         out = postprocess.filter_rules(parsed, spec)
     else:
         out = postprocess.top_k(parsed, args.by, args.top)
-    if args.format == "text":
-        _emit(rules_mod.render_rules_text(out))
-    else:
-        _emit(rules_mod.render_rules_jsonl(out))
-    return 0
+    return _render_rules(out, args.format)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> str:
     spec = toolbox.GenSpec(rows=args.rows, cols=args.cols, density=args.density, seed=args.seed)
-    sys.stdout.write(preprocess.write_context(toolbox.random_context(spec), args.out_format))
-    return 0
+    return preprocess.write_context(toolbox.random_context(spec), args.out_format)
 
 
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "pre": _cmd_pre,
-    "mine": _cmd_mine,
-    "rules": _cmd_rules,
-    "lattice": _cmd_lattice,
-    "post": _cmd_post,
-    "gen": _cmd_gen,
-}
+def _chunks(lines: list[str]):
+    """The lines, each ended by ``\\n``, joined 1,024 at a time and never
+    all at once: a large output is not copied whole."""
+    for i in range(0, len(lines), 1024):
+        yield "".join(line + "\n" for line in lines[i : i + 1024])
 
 
 def main(argv=None) -> int:
+    """Run one command; the only writer of stdout.  A command returns a
+    text or a list of lines, written as UTF-8 bytes with ``\\n`` line
+    ends whatever the locale or platform."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        out = args.run(args)
+        stdout = sys.stdout.buffer
+        for text in [out] if isinstance(out, str) else _chunks(out):
+            stdout.write(text.encode("utf-8"))
+        stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # the reader stopped reading: send what is still buffered to
+        # devnull, so that the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

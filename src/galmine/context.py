@@ -331,12 +331,15 @@ def parse_tab(text: str) -> BinaryContext:
 def write_tab(ctx: BinaryContext) -> str:
     """Render as TAB: each row's attribute labels in label order.
 
-    Labels containing whitespace or starting with ``#`` cannot be
-    represented in this format and raise ConstraintError.  Objects with
-    no attributes would produce blank (skipped) lines and also raise.
+    Labels containing whitespace or starting with ``#`` or a BOM cannot
+    be represented in this format and raise ConstraintError.  Objects with
+    no attributes would produce blank (skipped) lines and also raise, as
+    does a context with no objects, which has no data line.
     """
+    if not ctx.n_objects:
+        raise ConstraintError("TAB cannot represent a context with no objects")
     for label in ctx.attribute_labels:
-        if not label or label.split() != [label] or label.startswith("#"):
+        if not label or label.split() != [label] or label.startswith(("#", "\ufeff")):
             raise ConstraintError(f"attribute label not representable in TAB: {label!r}")
     lines = []
     for mask in ctx.row_masks:
@@ -394,6 +397,12 @@ def parse_cxt(text: str) -> BinaryContext:
 
 
 def write_cxt(ctx: BinaryContext) -> str:
+    """Render as CXT with ``\\n`` line ends.  A label holding ``\\n``
+    cannot be represented and raises ConstraintError; a ``\\r`` stays
+    in its label, as ``parse_cxt`` reads it back."""
+    for label in ctx.object_labels + ctx.attribute_labels:
+        if "\n" in label:
+            raise ConstraintError(f"label not representable in CXT: {label!r}")
     lines = ["B", "", str(ctx.n_objects), str(ctx.n_attributes), ""]
     lines.extend(ctx.object_labels)
     lines.extend(ctx.attribute_labels)

@@ -1,7 +1,11 @@
+import io
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from galmine import BinaryContext, GenSpec, parse_tab, random_context
+from galmine.cli import main
 
 settings.register_profile(
     "ci",
@@ -37,6 +41,17 @@ BAD_RULE_RECORDS = {
     "negative-conviction": RULE_RECORD.replace('"conviction": null', '"conviction": -0.5'),
     "nan-conviction": RULE_RECORD.replace('"conviction": null', '"conviction": NaN'),
 }
+
+
+def cli_bytes(argv) -> tuple[int, bytes]:
+    """Exit code and stdout bytes of ``galmine *argv`` run in-process.
+    stdout is an ASCII text layer over bytes, so a write through the text
+    layer instead of ``sys.stdout.buffer`` fails or shows as a mismatch."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    with redirect_stdout(out):
+        code = main(list(argv))
+    out.flush()
+    return code, out.buffer.getvalue()
 
 
 @pytest.fixture

@@ -1,9 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 
-import io
 import time
-from contextlib import redirect_stdout
 
 from galmine import (
     GenSpec,
@@ -19,12 +17,11 @@ from galmine import (
     parse_tab,
     random_context,
 )
-from galmine.cli import main
 from galmine.miner import STRATEGIES, render_itemsets_text
 from galmine.rules import render_rules_text
 
 import oracle
-from conftest import K4_TAB, seeded_corpus
+from conftest import K4_TAB, cli_bytes, seeded_corpus
 
 
 def _report(number, name):
@@ -147,21 +144,20 @@ def test_criterion_5_structural_laws():
             assert direct == swapped
 
 
-def _cli_stdout(argv) -> str:
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(argv)
+def _cli_bytes(argv) -> bytes:
+    code, out = cli_bytes(argv)
     assert code == 0, f"exit {code} for {argv}"
-    return buf.getvalue()
+    return out
+
+
+def _cli_stdout(argv) -> str:
+    return _cli_bytes(argv).decode("utf-8")
 
 
 def test_criterion_6_determinism(tmp_path):
     with _report(6, "repeated invocations byte-identical"):
-        ctx_text = io.StringIO()
-        with redirect_stdout(ctx_text):
-            assert main(["gen", "--rows", "60", "--cols", "12", "--density", "0.4", "--seed", "11"]) == 0
         data = tmp_path / "random.tab"
-        data.write_text(ctx_text.getvalue())
+        data.write_bytes(_cli_bytes(["gen", "--rows", "60", "--cols", "12", "--density", "0.4", "--seed", "11"]))
         invocations = [
             ["mine", "--minsup", "5", "--set", "fi", "--strategy", "dfs", str(data)],
             ["mine", "--minsup", "5", "--set", "fci", str(data)],
@@ -169,7 +165,7 @@ def test_criterion_6_determinism(tmp_path):
             ["lattice", str(data)],
         ]
         for argv in invocations:
-            outputs = {_cli_stdout(argv) for _ in range(5)}
+            outputs = {_cli_bytes(argv) for _ in range(5)}
             assert len(outputs) == 1
 
 

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from galmine import parse_cxt, write_cxt
+from galmine import mine_frequent, parse_cxt, parse_tab, write_cxt
 from galmine.cli import main
+from galmine.miner import render_itemsets_text
 
 from conftest import BAD_RULE_RECORDS, K4_TAB, RULE_RECORD
 
@@ -339,3 +340,86 @@ def test_post_color_unicode_separators_stay_in_line(capsys, tmp_path):
     text_file.write_bytes("a\u2028b\x85c => d\n".encode("utf-8"))
     code, out, _ = run_cli(capsys, "post", "color", "--color", "b", str(text_file))
     assert (code, out) == (0, "a\u2028\x1b[31mb\x1b[0m\x85c => d\n")
+
+
+# each repro once exited 0 with a context its own reader refuses
+WRITER_REFUSALS = {
+    "cxt-line-feed-label": (["pre", "discretize", "--label-column", "--out-format", "cxt"], 'id,x\n"r\n1",1\nr2,4\n', "not representable in CXT"),
+    "gen-no-rows": (["gen", "--rows", "0", "--cols", "3"], None, "no objects"),
+    "project-no-objects": (["pre", "project", "--keep-objects", ","], K4_TAB, "no objects"),
+}
+
+
+@pytest.mark.parametrize("argv, text, message", WRITER_REFUSALS.values(), ids=WRITER_REFUSALS.keys())
+def test_writer_refuses_what_its_reader_cannot_read_exit3(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / ("input.csv" if "discretize" in argv else "input.tab")
+        path.write_bytes(text.encode("utf-8"))
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and message in err
+
+
+def test_no_objects_as_cxt(capsys, k4_file):
+    code, out, _ = run_cli(capsys, "pre", "project", "--keep-objects", ",", "--out-format", "cxt", k4_file)
+    assert (code, out) == (0, "B\n\n0\n4\n\na\nb\nc\nd\n")
+
+
+def _rows(rows) -> str:
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+_ATTRS = [f"a{j}" for j in range(14)]
+_WIDE = _rows([[f"a{j}" for j in range(30_000)]])
+# every output is several times a 64 KiB pipe buffer
+CLOSED_PIPE = {
+    "mine": (["mine", "--minsup", "1"], _rows([_ATTRS] * 4)),  # 16,383 lines, 442 KB
+    "rules": (["rules", "--minconf", "0.01"], _rows([_ATTRS[:8]] * 4)),  # 6,050 lines, 389 KB
+    "lattice": (["lattice"], _rows([a for a in _ATTRS[:12] if a != b] for b in _ATTRS[:12])),  # 4,096 concepts
+    "stats": (["stats"], _WIDE),
+    "pre": (["pre", "transpose", "--out-format", "cxt"], _WIDE),
+    "post": (["post", "color", "--color", "a1"], _WIDE),
+    "gen": (["gen", "--rows", "30000", "--cols", "10", "--out-format", "cxt"], None),
+}
+
+
+@pytest.mark.parametrize("argv, text", CLOSED_PIPE.values(), ids=CLOSED_PIPE.keys())
+def test_closed_pipe_exit0_quietly(tmp_path, argv, text):
+    """The reader takes one byte and closes the pipe: no error happened."""
+    if text is not None:
+        path = tmp_path / "input.tab"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    proc = subprocess.Popen([sys.executable, "-m", "galmine", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+
+def _run_with_stdout_encoding(encoding, argv, stdin=None):
+    env = os.environ | {"PYTHONIOENCODING": encoding}
+    return subprocess.run([sys.executable, "-m", "galmine", *argv], input=stdin, capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_mine_stdout_is_utf8_whatever_the_encoding(tmp_path, encoding):
+    text = "café b\nb €\n"
+    path = tmp_path / "cafe.tab"
+    path.write_bytes(text.encode("utf-8"))
+    run = _run_with_stdout_encoding(encoding, ["mine", "--minsup", "1", str(path)])
+    ctx = parse_tab(text)
+    lines = render_itemsets_text(mine_frequent(ctx, 1), ctx.attribute_labels)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "".join(line + "\n" for line in lines).encode("utf-8"), b"")
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_non_ascii_pipe_composes_whatever_the_encoding(tmp_path, encoding):
+    path = tmp_path / "cafe.tab"
+    path.write_bytes("café b\n".encode("utf-8"))
+    pre = _run_with_stdout_encoding(encoding, ["pre", "transpose", "--out-format", "cxt", str(path)])
+    assert (pre.returncode, pre.stdout) == (0, "B\n\n2\n1\n\ncafé\nb\no1\nX\nX\n".encode("utf-8"))
+    stats = _run_with_stdout_encoding(encoding, ["stats", "--in-format", "cxt", "-"], stdin=pre.stdout)
+    assert (stats.returncode, stats.stdout) == (0, b"objects: 2\nattributes: 1\nones: 2\ndensity: 1.0\nsupport o1: 2\n")

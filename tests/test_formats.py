@@ -141,3 +141,9 @@ def test_cxt_utf8_bom(k4):
 
 def test_parse_tab_utf8_bom(k4):
     assert parse_tab("\ufeff" + K4_TAB) == k4
+
+
+def test_write_tab_refuses_bom_leading_label():
+    # parse_tab would strip it as the file's BOM
+    with pytest.raises(ConstraintError):
+        write_tab(BinaryContext(["o1"], ["\ufeffa"], [{0}]))

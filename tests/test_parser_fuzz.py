@@ -6,10 +6,8 @@ Then the CLI against the library: a file of UTF-8 bytes with one
 consistent line end gives the CLI exactly the library's output, or exit
 2 exactly when the library parser raises ParseError."""
 
-import io
 import json
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -27,8 +25,9 @@ from galmine import (
     parse_tab,
     write_cxt,
 )
-from galmine.cli import main
 from galmine.rules import parse_rules_jsonl, render_rules_jsonl
+
+from conftest import cli_bytes
 
 # line ends, Unicode line separators, BOM and the format's own characters
 _NOISY = st.text(alphabet=st.sampled_from("aB X.,\"#\t\r\n\x1c\x85\u2028\ufeff0123-e"), max_size=40)
@@ -134,20 +133,19 @@ def _label(keep_cr=False):
 
 def _cli_matches_library(suffix, text, argv, library):
     """Run ``galmine *argv FILE`` on ``text`` written as UTF-8 bytes and
-    compare with ``library(text)``, the parser plus renderer."""
+    compare its stdout bytes with ``library(text)`` as UTF-8, the parser
+    plus renderer."""
     try:
-        expected = (0, library(text))
+        expected = (0, library(text).encode("utf-8"))
     except ParseError:
-        expected = (2, "")
+        expected = (2, b"")
     except GalmineError:
-        expected = (3, "")
+        expected = (3, b"")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / ("input" + suffix)
         path.write_bytes(text.encode("utf-8"))
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = main([*argv, str(path)])
-    assert (code, out.getvalue() if code == 0 else "") == expected
+        code, out = cli_bytes([*argv, str(path)])
+    assert (code, out) == expected
 
 
 def _file(draw, end, lines):
