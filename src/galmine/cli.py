@@ -1,10 +1,10 @@
 """Command-line front-end: the whole pipeline as batch subcommands.
 
 Results go to standard output, diagnostics to standard error.  Exit
-codes: 0 success, 1 usage error, 2 input parse error, 3 constraint or
-resource error.  Input files may be ``-`` for standard input; the
-format is auto-detected from the extension (.tab/.cxt/.csv) and can be
-overridden with --in-format.
+codes: 0 success, 1 usage error, 2 input/output or parse error, 3
+constraint or resource error.  Input files may be ``-`` for standard
+input; the format is auto-detected from the extension (.tab/.cxt/.csv,
+in any case) and can be overridden with --in-format.
 """
 
 import argparse
@@ -147,7 +147,7 @@ def _detect_format(path: str, override, default: str = "tab") -> str:
     if override:
         return override
     for fmt in ("tab", "cxt", "csv"):
-        if path.endswith("." + fmt):
+        if path.lower().endswith("." + fmt):
             return fmt
     return default
 
@@ -281,6 +281,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         out = args.run(args)
         stdout = sys.stdout.buffer
         for text in [out] if isinstance(out, str) else _chunks(out):

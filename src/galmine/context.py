@@ -151,40 +151,27 @@ class BinaryContext:
         return f"BinaryContext({self.n_objects}x{self.n_attributes})"
 
     def attribute_index(self, label: str) -> int:
-        try:
-            return self._attribute_labels.index(label)
-        except ValueError:
-            raise UnknownLabelError(f"unknown attribute label: {label!r}") from None
+        return _selected(self._attribute_labels, [label], "attribute")[0]
 
     def object_index(self, label: str) -> int:
-        try:
-            return self._object_labels.index(label)
-        except ValueError:
-            raise UnknownLabelError(f"unknown object label: {label!r}") from None
+        return _selected(self._object_labels, [label], "object")[0]
 
     def itemset_labels(self, items: Itemset) -> tuple[str, ...]:
         return tuple(self._attribute_labels[j] for j in items)
 
     # -- derivation operators -------------------------------------------
 
-    def _check_items(self, items):
-        for j in items:
-            if not 0 <= j < self.n_attributes:
-                raise ValueError(f"attribute id out of range: {j}")
+    @staticmethod
+    def _check_ids(ids, n: int, axis: str):
+        for i in ids:
+            if not 0 <= i < n:
+                raise ValueError(f"{axis} id out of range: {i}")
 
     def extent_mask(self, items) -> int:
-        self._check_items(items)
+        self._check_ids(items, self.n_attributes, "attribute")
         mask = (1 << self.n_objects) - 1
         for j in items:
             mask &= self._col_masks[j]
-        return mask
-
-    def intent_mask(self, tids) -> int:
-        mask = (1 << self.n_attributes) - 1
-        for i in tids:
-            if not 0 <= i < self.n_objects:
-                raise ValueError(f"object id out of range: {i}")
-            mask &= self._row_masks[i]
         return mask
 
     def extent(self, items) -> TidSet:
@@ -195,7 +182,8 @@ class BinaryContext:
     def intent(self, tids) -> Itemset:
         """Attributes common to all listed objects; all attributes for
         the empty tidset."""
-        return bits_of(self.intent_mask(tids))
+        self._check_ids(tids, self.n_objects, "object")
+        return bits_of(self.closure_mask(mask_of(tids)))
 
     def closure(self, items) -> Itemset:
         """intent(extent(items)): the smallest closed superset.  For an
@@ -234,20 +222,8 @@ class BinaryContext:
         ``min_column_support`` is given, attributes whose support after
         the object restriction falls below it are dropped as well.
         """
-        if keep_objects is None:
-            obj_ids = list(range(self.n_objects))
-        else:
-            wanted = set(keep_objects)
-            for label in wanted:
-                self.object_index(label)
-            obj_ids = [i for i, lab in enumerate(self._object_labels) if lab in wanted]
-        if keep_attributes is None:
-            attr_ids = list(range(self.n_attributes))
-        else:
-            wanted = set(keep_attributes)
-            for label in wanted:
-                self.attribute_index(label)
-            attr_ids = [j for j, lab in enumerate(self._attribute_labels) if lab in wanted]
+        obj_ids = _selected(self._object_labels, keep_objects, "object")
+        attr_ids = _selected(self._attribute_labels, keep_attributes, "attribute")
         if min_column_support is not None:
             kept_obj_mask = mask_of(obj_ids)
             attr_ids = [
@@ -276,6 +252,21 @@ class BinaryContext:
         )
 
 
+def _selected(labels: tuple[str, ...], keep, axis: str) -> list[int]:
+    """Ids of the ``labels`` in ``keep`` (all of them for None), in axis
+    order; the first label of ``keep`` not on the axis raises
+    UnknownLabelError."""
+    if keep is None:
+        return list(range(len(labels)))
+    keep = list(keep)
+    wanted = set(keep)
+    unknown = wanted.difference(labels)
+    if unknown:
+        first = next(label for label in keep if label in unknown)
+        raise UnknownLabelError(f"unknown {axis} label: {first!r}")
+    return [i for i, label in enumerate(labels) if label in wanted]
+
+
 # -- input text -----------------------------------------------------------
 
 
@@ -283,6 +274,8 @@ def _read_input(path: str) -> str:
     """The text of file ``path``, or of standard input for ``-``, decoded
     as strict UTF-8 with line ends untouched; a bad byte is a ParseError."""
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
         path, data = "standard input", sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:

@@ -37,8 +37,6 @@ from galmine._bitset import bits_of
 from galmine.context import BinaryContext, Itemset
 from galmine.errors import ConstraintError
 
-STRATEGIES = ("levelwise", "dfs", "hybrid")
-
 
 @dataclass(frozen=True)
 class MinedSet:
@@ -166,16 +164,17 @@ def _dfs(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
     return table
 
 
-def _mine_class_list(ctx: BinaryContext, minsup: int):
-    """Frequent equivalence classes as (closed_items, support, generators),
-    plus the minimal rare itemsets as (items, support).
+def _mine_class_list(ctx: BinaryContext, minsup) -> tuple[list[EquivalenceClass], list[tuple[Itemset, int]]]:
+    """Frequent equivalence classes by closed set, and the minimal rare
+    itemsets as (items, support), each in (size asc, id-lex asc) order.
 
     The walk keeps the frequent generators (they form an order ideal,
     so join + prune over the previous generator level is complete); each
-    one's closure assigns it to a class.  Generator order within a class
-    is (size asc, id-lex asc) by construction.  The candidates below
-    ``minsup`` are the minimal rare itemsets (see the module docstring).
+    one's closure assigns it to a class.  It meets candidates, hence the
+    generators of a class and the minimal rare itemsets below ``minsup``
+    (see the module docstring), in (size asc, id-lex asc) order.
     """
+    minsup = resolve_minsup(minsup, ctx.n_objects)
     if minsup > ctx.n_objects:
         return [], []
     n = ctx.n_objects
@@ -195,7 +194,9 @@ def _mine_class_list(ctx: BinaryContext, minsup: int):
 
     _apriori(ctx, keep)
     classes.pop(0, None)  # the empty closed set is never reported
-    return [(bits_of(cmask), supp, gens) for cmask, (supp, gens) in classes.items()], rare
+    out = [EquivalenceClass(bits_of(cmask), tuple(gens), supp) for cmask, (supp, gens) in classes.items()]
+    out.sort(key=lambda c: (len(c.closed_set), c.closed_set))
+    return out, rare
 
 
 def _hybrid(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
@@ -204,18 +205,19 @@ def _hybrid(ctx: BinaryContext, minsup: int) -> dict[Itemset, int]:
     Classes partition the frequent collection, so the union over
     classes is complete and classes never collide on a key."""
     table: dict[Itemset, int] = {}
-    for closed_items, supp, gens in _mine_class_list(ctx, minsup)[0]:
-        for g in gens:
+    for c in _mine_class_list(ctx, minsup)[0]:
+        for g in c.generators:
             g_set = set(g)
-            rest = tuple(a for a in closed_items if a not in g_set)
+            rest = tuple(a for a in c.closed_set if a not in g_set)
             for r in range(len(rest) + 1):
                 for extra in combinations(rest, r):
-                    table[tuple(sorted(g + extra))] = supp
+                    table[tuple(sorted(g + extra))] = c.support
     table.pop((), None)
     return table
 
 
 _STRATEGY_TABLES = {"levelwise": _levelwise, "dfs": _dfs, "hybrid": _hybrid}
+STRATEGIES = tuple(_STRATEGY_TABLES)
 
 
 def frequent_support_table(ctx: BinaryContext, minsup, strategy: str = "levelwise") -> dict[Itemset, int]:
@@ -258,23 +260,21 @@ def mine_frequent(ctx: BinaryContext, minsup, strategy: str = "levelwise") -> li
 def mine_closed(ctx: BinaryContext, minsup) -> list[MinedSet]:
     """The frequent closed itemsets (fixed points of closure), excluding
     the empty set."""
-    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
-    out = [
-        MinedSet(closed_items, supp, True, closed_items in gens)
-        for closed_items, supp, gens in classes
+    classes, _ = _mine_class_list(ctx, minsup)
+    return [
+        MinedSet(c.closed_set, c.support, True, c.closed_set in c.generators)
+        for c in classes
     ]
-    out.sort(key=lambda s: (len(s.items), s.items))
-    return out
 
 
 def mine_generators(ctx: BinaryContext, minsup) -> list[MinedSet]:
     """The frequent non-empty itemsets with no proper subset of equal
     support (the minimal members of their equivalence classes)."""
-    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    classes, _ = _mine_class_list(ctx, minsup)
     out = [
-        MinedSet(g, supp, g == closed_items, True)
-        for closed_items, supp, gens in classes
-        for g in gens
+        MinedSet(g, c.support, g == c.closed_set, True)
+        for c in classes
+        for g in c.generators
         if g
     ]
     out.sort(key=lambda s: (len(s.items), s.items))
@@ -284,10 +284,7 @@ def mine_generators(ctx: BinaryContext, minsup) -> list[MinedSet]:
 def mine_equivalence_classes(ctx: BinaryContext, minsup) -> list[EquivalenceClass]:
     """One class per frequent closed set, ordered by (support desc,
     closed-set lex)."""
-    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
-    out = [EquivalenceClass(closed_items, tuple(gens), supp) for closed_items, supp, gens in classes]
-    out.sort(key=lambda c: (-c.support, c.closed_set))
-    return out
+    return sorted(_mine_class_list(ctx, minsup)[0], key=lambda c: (-c.support, c.closed_set))
 
 
 def mine_minimal_rare(ctx: BinaryContext, minsup) -> list[MinedSet]:
@@ -299,10 +296,8 @@ def mine_minimal_rare(ctx: BinaryContext, minsup) -> list[MinedSet]:
     yields the equivalence classes, and every one is a generator: its
     proper subsets have support >= minsup > its own.
     """
-    _, rare = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
-    out = [MinedSet(items, supp, ctx.closure(items) == items, True) for items, supp in rare]
-    out.sort(key=lambda s: (len(s.items), s.items))
-    return out
+    _, rare = _mine_class_list(ctx, minsup)
+    return [MinedSet(items, supp, ctx.closure(items) == items, True) for items, supp in rare]
 
 
 # -- serialization ----------------------------------------------------------

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from galmine.context import BinaryContext, _read_input, parse_cxt, parse_tab, write_cxt, write_tab
@@ -65,8 +66,8 @@ def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
     """Parse comma-separated numeric data with a header line.
 
     With ``has_label_column`` the first column supplies object labels;
-    otherwise labels are generated as o1, o2, ...  Non-numeric cells and
-    ragged rows raise ParseError with their position."""
+    otherwise labels are generated as o1, o2, ...  Non-numeric cells,
+    ragged rows and repeated names or labels raise a positioned ParseError."""
     reader = _csv_records(text.removeprefix("\ufeff"))
     header = next(reader, None)
     if header is None:
@@ -77,8 +78,11 @@ def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
         columns = tuple(header[1:])
     else:
         columns = tuple(header)
+    repeated = [name for name, count in Counter(columns).items() if count > 1]
+    if repeated:
+        raise ParseError(f"CSV header repeats the column name {repeated[0]!r}")
     rows = []
-    labels = []
+    labels: dict[str, None] = {}
     for rownum, record in enumerate(reader, start=1):
         if not record:
             continue
@@ -86,6 +90,8 @@ def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
             label, cells = record[0], record[1:]
         else:
             label, cells = f"o{rownum}", record
+        if label in labels:
+            raise ParseError(f"row {rownum} repeats the object label {label!r}")
         if len(cells) != len(columns):
             raise ParseError(f"row {rownum} has {len(cells)} data cells, expected {len(columns)}")
         values = []
@@ -98,7 +104,7 @@ def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
                 raise ParseError(f"non-finite value {cell!r} at row {rownum}, column {name}")
             values.append(value)
         rows.append(tuple(values))
-        labels.append(label)
+        labels[label] = None
     return NumericTable(column_names=columns, rows=tuple(rows), object_labels=tuple(labels))
 
 

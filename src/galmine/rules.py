@@ -101,8 +101,8 @@ def _closed_uppers(ctx: BinaryContext, minsup, reduced: bool = False):
     """The frequent classes, smallest closed set first as ``covers`` needs
     (rule lists are sorted afterwards), and per class the indices of the
     closed sets above it, or with ``reduced`` of its covers only."""
-    classes = sorted(_mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))[0], key=lambda c: len(c[0]))
-    supersets = superset_index([mask_of(c) for c, _, _ in classes])
+    classes, _ = _mine_class_list(ctx, minsup)
+    supersets = superset_index([mask_of(c.closed_set) for c in classes])
     return classes, [covers(supersets, k) if reduced else bits_of(supersets(k)) for k in range(len(classes))]
 
 
@@ -110,7 +110,7 @@ def _confident_uppers(classes, uppers_of, minconf):
     """(class, upper) pairs from ``uppers_of`` with supp(upper) / supp(class) >= minconf."""
     for c, uppers in zip(classes, uppers_of):
         for k in uppers:
-            if classes[k][1] / c[1] >= minconf:
+            if classes[k].support / c.support >= minconf:
                 yield c, classes[k]
 
 
@@ -139,8 +139,8 @@ def all_rules(ctx: BinaryContext, minsup, minconf) -> list[AssociationRule]:
 def generic_basis(ctx: BinaryContext, minsup) -> list[AssociationRule]:
     """Exact rules g -> closure(g)\\g for every frequent non-empty
     generator with a proper closure; confidence is always 1."""
-    classes, _ = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
-    return _sort_rules([rule for c in classes for rule in _exact_rules(ctx, *c)])
+    classes, _ = _mine_class_list(ctx, minsup)
+    return _sort_rules([rule for c in classes for rule in _exact_rules(ctx, c.closed_set, c.support, c.generators)])
 
 
 def mnr_rules(ctx: BinaryContext, minsup, minconf, reduced: bool = False) -> list[AssociationRule]:
@@ -151,9 +151,9 @@ def mnr_rules(ctx: BinaryContext, minsup, minconf, reduced: bool = False) -> lis
     containment order."""
     _check_minconf(minconf)
     classes, uppers_of = _closed_uppers(ctx, minsup, reduced)
-    out = [rule for c in classes for rule in _exact_rules(ctx, *c)]
-    for (_, supp, gens), (f_items, supp_f, _) in _confident_uppers(classes, uppers_of, minconf):
-        out += [_rule(ctx, g, _diff(f_items, g), supp_f, supp) for g in gens if g]
+    out = [rule for c in classes for rule in _exact_rules(ctx, c.closed_set, c.support, c.generators)]
+    for c, f in _confident_uppers(classes, uppers_of, minconf):
+        out += [_rule(ctx, g, _diff(f.closed_set, g), f.support, c.support) for g in c.generators if g]
     return _sort_rules(out)
 
 
@@ -164,7 +164,7 @@ def rare_rules(ctx: BinaryContext, minsup) -> list[AssociationRule]:
     The minimal rare itemsets are the failing candidates of the
     generator walk, and each is a generator (its subsets are frequent,
     so all have a larger support), so no generator test is needed."""
-    _, rare = _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+    _, rare = _mine_class_list(ctx, minsup)
     out = []
     for items, supp in rare:
         if supp:
@@ -177,7 +177,9 @@ def closed_rules(ctx: BinaryContext, minsup, minconf) -> list[AssociationRule]:
     confidence."""
     _check_minconf(minconf)
     pairs = _confident_uppers(*_closed_uppers(ctx, minsup), minconf)
-    return _sort_rules([_rule(ctx, x, _diff(y, x), supp_y, supp_x) for (x, supp_x, _), (y, supp_y, _) in pairs])
+    return _sort_rules(
+        [_rule(ctx, x.closed_set, _diff(y.closed_set, x.closed_set), y.support, x.support) for x, y in pairs]
+    )
 
 
 def duquenne_guigues(ctx: BinaryContext, max_attributes: int = 20) -> list[AssociationRule]:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -423,3 +424,53 @@ def test_non_ascii_pipe_composes_whatever_the_encoding(tmp_path, encoding):
     assert (pre.returncode, pre.stdout) == (0, "B\n\n2\n1\n\ncafé\nb\no1\nX\nX\n".encode("utf-8"))
     stats = _run_with_stdout_encoding(encoding, ["stats", "--in-format", "cxt", "-"], stdin=pre.stdout)
     assert (stats.returncode, stats.stdout) == (0, b"objects: 2\nattributes: 1\nones: 2\ndensity: 1.0\nsupport o1: 2\n")
+
+
+@pytest.mark.parametrize(
+    "source, redirect, message",
+    [
+        ("k4.tab", ">&-", b"standard output is closed"),
+        ("missing.tab", ">&-", b"standard output is closed"),  # checked before the input is read
+        ("-", "<&-", b"standard input is closed"),
+    ],
+    ids=["stdout", "stdout-before-input", "stdin"],
+)
+def test_closed_standard_stream_exit2(k4_file, tmp_path, source, redirect, message):
+    path = "-" if source == "-" else str(tmp_path / source)
+    command = f"{shlex.quote(sys.executable)} -m galmine stats {shlex.quote(path)} {redirect}"
+    run = subprocess.run(["sh", "-c", command], capture_output=True)
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", b"error: " + message + b"\n")
+
+
+def test_extension_case_insensitive(capsys, k4, tmp_path):
+    for name in ("k4.cxt", "K4.CXT"):
+        (tmp_path / name).write_text(write_cxt(k4))
+    upper = run_cli(capsys, "stats", str(tmp_path / "K4.CXT"))
+    assert upper == run_cli(capsys, "stats", str(tmp_path / "k4.cxt"))
+    assert upper[1].startswith("objects: 4\nattributes: 4\n")
+    csv = tmp_path / "T.CSV"
+    csv.write_text("x,y\n1,2\n")
+    code, out, err = run_cli(capsys, "mine", str(csv))
+    assert (code, out) == (3, "")
+    assert "needs discretization" in err
+
+
+CSV_REPEATS = {
+    "column": ([], "x,y,x\n1,2,3\n", "CSV header repeats the column name 'x'"),
+    "label": (["--label-column"], "id,x\nr,1\ns,2\nr,3\n", "row 3 repeats the object label 'r'"),
+}
+
+
+@pytest.mark.parametrize("flags, text, message", CSV_REPEATS.values(), ids=CSV_REPEATS.keys())
+def test_repeated_csv_name_exit2(capsys, tmp_path, flags, text, message):
+    csv = tmp_path / "repeats.csv"
+    csv.write_text(text)
+    code, out, err = run_cli(capsys, "pre", "discretize", *flags, str(csv))
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
+def test_project_unknown_label_same_message_whatever_the_hash_seed(k4_file):
+    argv = [sys.executable, "-m", "galmine", "pre", "project", k4_file, "--keep-objects", "zz,yy,xx,ww"]
+    for seed in ("1", "2", "3"):
+        run = subprocess.run(argv, capture_output=True, env=os.environ | {"PYTHONHASHSEED": seed})
+        assert (run.returncode, run.stdout, run.stderr) == (3, b"", b"error: unknown object label: 'zz'\n")

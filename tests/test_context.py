@@ -40,6 +40,12 @@ def test_intent(k4):
     assert k4.intent(()) == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("tids", [(4,), (-1,), (0, 9)])
+def test_intent_out_of_range_raises(k4, tids):
+    with pytest.raises(ValueError, match="object id out of range"):
+        k4.intent(tids)
+
+
 def test_closure(k4):
     assert k4.closure((3,)) == (0, 2, 3)
     assert k4.closure((0, 1)) == (0, 1)
@@ -100,6 +106,21 @@ def test_project_unknown_label(k4):
         k4.project(keep_attributes={"z"})
     with pytest.raises(UnknownLabelError):
         k4.project(keep_objects={"o9"})
+
+
+def test_project_names_first_unknown_label_in_order_given(k4):
+    with pytest.raises(UnknownLabelError, match="^unknown object label: 'zz'$"):
+        k4.project(keep_objects=["o1", "zz", "yy", "xx", "ww"])
+    with pytest.raises(UnknownLabelError, match="^unknown attribute label: 'y'$"):
+        k4.project(keep_attributes=iter(["a", "y", "x"]))
+
+
+def test_label_index(k4):
+    assert (k4.attribute_index("c"), k4.object_index("o4")) == (2, 3)
+    with pytest.raises(UnknownLabelError, match="^unknown attribute label: 'z'$"):
+        k4.attribute_index("z")
+    with pytest.raises(UnknownLabelError, match="^unknown object label: 'o9'$"):
+        k4.object_index("o9")
 
 
 def test_stats(k4):

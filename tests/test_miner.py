@@ -10,7 +10,14 @@ from galmine import (
     mine_minimal_rare,
     resolve_minsup,
 )
-from galmine.miner import STRATEGIES, render_itemsets_jsonl, render_itemsets_text
+from galmine.miner import (
+    STRATEGIES,
+    _STRATEGY_TABLES,
+    EquivalenceClass,
+    _mine_class_list,
+    render_itemsets_jsonl,
+    render_itemsets_text,
+)
 
 import oracle
 from conftest import seeded_corpus
@@ -215,6 +222,44 @@ def test_classes_match_oracle_on_corpus():
             supp, gens = want[frozenset(c.closed_set)]
             assert c.support == supp
             assert [set(g) for g in c.generators] == [set(g) for g in gens]
+
+
+def _canonical(sets):
+    return sorted(sets, key=lambda s: (len(s), s))
+
+
+def test_class_list_records_in_closed_set_order():
+    """The class walk resolves its own threshold and returns class records
+    and minimal rare sets, each ordered by (size, id-lex)."""
+    for ctx in seeded_corpus(40):
+        for minsup in (1, 2, 0.3):
+            classes, rare = _mine_class_list(ctx, minsup)
+            assert all(type(c) is EquivalenceClass for c in classes)
+            closed = [c.closed_set for c in classes]
+            assert closed == _canonical(closed)
+            assert [items for items, _ in rare] == _canonical(items for items, _ in rare)
+            assert sorted(classes, key=lambda c: (-c.support, c.closed_set)) == mine_equivalence_classes(ctx, minsup)
+            assert (classes, rare) == _mine_class_list(ctx, resolve_minsup(minsup, ctx.n_objects))
+
+
+def test_class_list_k4_closed_set_order(k4):
+    # the walk meets generator d, of closed set acd, before ab and ac
+    classes, rare = _mine_class_list(k4, 1)
+    assert [(c.closed_set, c.generators, c.support) for c in classes] == [
+        ((0,), ((0,),), 3),
+        ((1,), ((1,),), 3),
+        ((2,), ((2,),), 3),
+        ((0, 1), ((0, 1),), 2),
+        ((0, 2), ((0, 2),), 2),
+        ((1, 2), ((1, 2),), 2),
+        ((0, 1, 2), ((0, 1, 2),), 1),
+        ((0, 2, 3), ((3,),), 1),
+    ]
+    assert rare == [((1, 3), 0)]
+
+
+def test_strategies_are_the_strategy_tables():
+    assert STRATEGIES == tuple(_STRATEGY_TABLES) == ("levelwise", "dfs", "hybrid")
 
 
 def test_render_itemsets(k4):

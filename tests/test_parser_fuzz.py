@@ -1,10 +1,12 @@
 """Parser fuzzing: on any text the four parsers either return or raise
-ParseError.  The one other allowed error is ConstraintError for
-duplicate CSV column names, a structural limit of ``NumericTable``.
+ParseError.
 
 Then the CLI against the library: a file of UTF-8 bytes with one
 consistent line end gives the CLI exactly the library's output, or exit
-2 exactly when the library parser raises ParseError."""
+2 exactly when the library parser raises ParseError.  The output of
+each writing ``pre`` command, read back by ``galmine stats``, gives the
+library's stats of the same transform, or the command exits 3 as the
+library refuses."""
 
 import json
 import tempfile
@@ -15,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from galmine import (
+    BinaryContext,
     BinningSpec,
-    ConstraintError,
     GalmineError,
     ParseError,
     discretize,
@@ -25,6 +27,7 @@ from galmine import (
     parse_tab,
     write_cxt,
 )
+from galmine.preprocess import write_context
 from galmine.rules import parse_rules_jsonl, render_rules_jsonl
 
 from conftest import cli_bytes
@@ -107,12 +110,7 @@ def test_parse_cxt_raises_only_parse_error(text):
 @pytest.mark.parametrize("has_label_column", [False, True])
 @given(text=st.one_of(_TEXT, csv_like()))
 def test_parse_csv_raises_only_parse_error(has_label_column, text):
-    try:
-        parse_csv(text, has_label_column=has_label_column)
-    except ParseError:
-        pass
-    except ConstraintError as exc:
-        assert "column names must be distinct" in str(exc)
+    _only_parse_errors(lambda t: parse_csv(t, has_label_column=has_label_column), text)
 
 
 @given(st.one_of(_TEXT, rules_jsonl_like()))
@@ -229,3 +227,106 @@ def test_cli_reads_rules_jsonl_as_library(text):
     _cli_matches_library(
         ".jsonl", text, ["post", "filter"], lambda t: "".join(line + "\n" for line in render_rules_jsonl(parse_rules_jsonl(t)))
     )
+
+
+# -- the writing commands give what the library gives --------------------------
+
+_CONTEXT_TEXT = st.one_of(
+    tab_text().map(lambda text: (".tab", parse_tab, text)),
+    cxt_text().map(lambda text: (".cxt", parse_cxt, text)),
+)
+_OUT_FORMAT = st.sampled_from(["tab", "cxt"])
+
+
+def _stats_record(ctx) -> dict:
+    """What ``galmine stats --format json`` prints for ``ctx``."""
+    stats = ctx.stats()
+    return {
+        "objects": stats.n_objects,
+        "attributes": stats.n_attributes,
+        "ones": stats.ones,
+        "density": stats.density,
+        "attribute_supports": dict(zip(ctx.attribute_labels, stats.attribute_supports)),
+    }
+
+
+def _pre_reads_back_as_library(suffix, text, argv, library, out_format):
+    """Run ``galmine *argv --out-format F FILE`` on ``text`` and read its
+    output back with ``galmine stats``: the stats of ``library(text)``
+    (without its empty columns in TAB, which cannot hold them).  Exit 2
+    exactly when the library raises ParseError, and 3 when it raises any
+    other GalmineError, its writer's refusals included."""
+    try:
+        ctx = library(text)
+        write_context(ctx, out_format)
+        expected = 0
+    except ParseError:
+        expected = 2
+    except GalmineError:
+        expected = 3
+    with tempfile.TemporaryDirectory() as tmp:
+        path, output = Path(tmp) / ("input" + suffix), Path(tmp) / "output"
+        path.write_bytes(text.encode("utf-8"))
+        code, out = cli_bytes([*argv, "--out-format", out_format, str(path)])
+        assert code == expected
+        if code:
+            assert out == b""
+            return
+        output.write_bytes(out)
+        code, stats = cli_bytes(["stats", "--format", "json", "--in-format", out_format, str(output)])
+    assert code == 0
+    assert json.loads(stats) == _stats_record(ctx if out_format == "cxt" else ctx.project(min_column_support=1))
+
+
+_TRANSFORMS = {"transpose": BinaryContext.transpose, "complement": BinaryContext.complement, "convert": lambda ctx: ctx}
+
+
+@pytest.mark.parametrize("command", _TRANSFORMS)
+@given(drawn=_CONTEXT_TEXT, out_format=_OUT_FORMAT)
+def test_cli_pre_reads_back_as_library(command, drawn, out_format):
+    suffix, parse, text = drawn
+    transform = _TRANSFORMS[command]
+    _pre_reads_back_as_library(suffix, text, ["pre", command], lambda t: transform(parse(t)), out_format)
+
+
+# labels as ``--keep-*`` takes them: comma-separated, none empty
+_KEEP = st.none() | st.lists(st.one_of(_label().filter(bool), st.sampled_from(["o1", "o2", "a", "b"])), max_size=3)
+
+
+@given(drawn=_CONTEXT_TEXT, out_format=_OUT_FORMAT, objects=_KEEP, attributes=_KEEP, support=st.none() | st.integers(0, 3))
+def test_cli_pre_project_reads_back_as_library(drawn, out_format, objects, attributes, support):
+    suffix, parse, text = drawn
+    argv = ["pre", "project"]
+    for flag, labels in (("--keep-objects", objects), ("--keep-attributes", attributes)):
+        if labels is not None:
+            argv += [flag, ",".join(labels)]
+    if support is not None:
+        argv += ["--min-col-support", str(support)]
+    library = lambda t: parse(t).project(objects, attributes, support)
+    _pre_reads_back_as_library(suffix, text, argv, library, out_format)
+
+
+@st.composite
+def numeric_csv_text(draw):
+    """A header of one to three distinct names, then rows of numbers, each
+    led by a label (which may repeat) when ``--label-column`` is drawn."""
+    end = draw(_LINE_END)
+    label_column = draw(st.booleans())
+    header = draw(st.lists(st.sampled_from(["x", "y", "z\u2028", '"v,w"']), min_size=1, max_size=3, unique=True))
+    cell = st.sampled_from(["1", "2.5", "-3", "0", "1e3", "7"])
+    rows = draw(st.lists(st.lists(cell, min_size=len(header), max_size=len(header)), min_size=1, max_size=5))
+    if label_column:
+        header = ["id", *header]
+        rows = [[draw(_label()), *row] for row in rows]
+    return _file(draw, end, [",".join(r) for r in [header, *rows]]), label_column
+
+
+_CSV_TEXT = st.one_of(numeric_csv_text(), csv_text().map(lambda drawn: (drawn[0], drawn[2])))
+
+
+@given(drawn=_CSV_TEXT, out_format=_OUT_FORMAT, bins=st.integers(1, 3), binning=st.sampled_from(["width", "freq"]))
+def test_cli_pre_discretize_reads_back_as_library(drawn, out_format, bins, binning):
+    text, label_column = drawn
+    argv = ["pre", "discretize", "--bins", str(bins), "--binning", binning] + (["--label-column"] if label_column else [])
+    library = lambda t: discretize(parse_csv(t, label_column), BinningSpec(binning, bins))
+    _pre_reads_back_as_library(".csv", text, argv, library, out_format)

@@ -46,6 +46,15 @@ def test_parse_csv_non_finite():
         parse_csv("x\ninf\n")
 
 
+def test_parse_csv_repeated_names():
+    with pytest.raises(ParseError, match="^CSV header repeats the column name 'x'$"):
+        parse_csv("x,y,x\n1,2,3\n")
+    with pytest.raises(ParseError, match="^row 3 repeats the object label 'r'$"):
+        parse_csv("id,x\nr,1\n\nr,2\n", has_label_column=True)
+    # the label column's name is not a data column
+    assert parse_csv("x,x\nr,1\n", has_label_column=True).column_names == ("x",)
+
+
 def test_numeric_table_validation():
     with pytest.raises(ConstraintError):
         NumericTable(("x", "x"), ((1.0,),), ("o1",))

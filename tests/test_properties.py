@@ -1,25 +1,37 @@
 """Cross-module invariants checked with hypothesis over small random
 contexts, with the brute-force oracle as the independent reference."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galmine import (
     BinaryContext,
+    Concept,
     ConstraintError,
+    MinedSet,
+    all_rules,
     build_lattice,
+    closed_rules,
     duquenne_guigues,
+    export_json,
+    generic_basis,
     mine_closed,
     mine_equivalence_classes,
     mine_frequent,
     mine_generators,
     mine_minimal_rare,
+    mnr_rules,
     parse_cxt,
     parse_tab,
+    rare_rules,
     write_cxt,
     write_tab,
 )
-from galmine.miner import STRATEGIES
+from galmine.context import _split_lines
+from galmine.miner import STRATEGIES, render_itemsets_jsonl
+from galmine.rules import parse_rules_jsonl, render_rules_jsonl
 
 import oracle
 
@@ -217,3 +229,56 @@ def test_lattice_concepts_match_oracle(ctx):
     assert {(c.extent, c.intent) for c in lat.concepts} == want
     intents = [frozenset(c.intent) for c in lat.concepts]
     assert set(lat.cover_edges) == oracle.cover_edges(intents)
+
+
+# -- JSON writers give back what they were given ---------------------------------
+
+
+def _jsonl(lines) -> list:
+    """The records of JSON-lines output, split as a reader of the stream would."""
+    return [json.loads(line) for line in _split_lines("".join(line + "\n" for line in lines))]
+
+
+@given(contexts(max_objects=6, max_attributes=5, label=_LABEL), st.integers(1, 3), st.sampled_from([0.3, 0.6, 1.0]))
+@settings(max_examples=40)
+def test_rules_jsonl_roundtrip(ctx, minsup, minconf):
+    """Every basis reads back from its records as the same rules, DG
+    implications over an empty extent (support 0, null conviction) included."""
+    bases = {
+        "all": all_rules(ctx, minsup, minconf),
+        "generic": generic_basis(ctx, minsup),
+        "mnr": mnr_rules(ctx, minsup, minconf),
+        "rmnr": mnr_rules(ctx, minsup, minconf, reduced=True),
+        "closed": closed_rules(ctx, minsup, minconf),
+        "rare": rare_rules(ctx, minsup),
+        "dg": duquenne_guigues(ctx),
+    }
+    for basis, rules in bases.items():
+        assert parse_rules_jsonl("".join(line + "\n" for line in render_rules_jsonl(rules))) == rules, basis
+
+
+@given(contexts(max_objects=6, max_attributes=5, label=_LABEL), st.integers(1, 3))
+@settings(max_examples=40)
+def test_itemsets_jsonl_give_back_the_sets(ctx, minsup):
+    ids = {label: j for j, label in enumerate(ctx.attribute_labels)}
+    for mine in (mine_frequent, mine_closed, mine_generators, mine_minimal_rare):
+        sets = mine(ctx, minsup)
+        read = [
+            MinedSet(tuple(ids[label] for label in r["items"]), r["support"], r["closed"], r["generator"])
+            for r in _jsonl(render_itemsets_jsonl(sets, ctx.attribute_labels))
+        ]
+        assert read == sets, mine.__name__
+
+
+@given(contexts(max_objects=6, max_attributes=5, label=_LABEL))
+@settings(max_examples=30)
+def test_lattice_json_gives_back_the_lattice(ctx):
+    lat = build_lattice(ctx)
+    objects = {label: i for i, label in enumerate(ctx.object_labels)}
+    attributes = {label: j for j, label in enumerate(ctx.attribute_labels)}
+    [data] = _jsonl([export_json(lat)])
+    concepts = tuple(
+        Concept(tuple(objects[label] for label in c["extent"]), tuple(attributes[label] for label in c["intent"]))
+        for c in data["concepts"]
+    )
+    assert (concepts, tuple(map(tuple, data["edges"]))) == (lat.concepts, lat.cover_edges)
