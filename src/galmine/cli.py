@@ -8,6 +8,7 @@ in any case) and can be overridden with --in-format.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,6 +17,8 @@ from galmine import lattice as lattice_mod
 from galmine import miner, postprocess, preprocess, rules as rules_mod, toolbox
 from galmine.context import BinaryContext, _read_input, _split_lines
 from galmine.errors import ConstraintError, GalmineError, ParseError
+
+_IN_FORMATS = (*preprocess.CONTEXT_FORMATS, "csv")
 
 
 class _UsageError(Exception):
@@ -61,106 +64,100 @@ def _build_parser() -> _Parser:
 
     def add_input(p):
         p.add_argument("input", help="input file, or - for standard input")
-        p.add_argument("--in-format", choices=("tab", "cxt", "csv"), default=None)
+        p.add_argument("--in-format", choices=_IN_FORMATS, default=None)
 
-    p = sub.add_parser("stats", help="context summary")
-    p.set_defaults(run=_cmd_stats)
-    add_input(p)
+    def add_output(p):
+        p.add_argument("--out-format", choices=preprocess.CONTEXT_FORMATS, default="tab")
+
+    def leaf(parent, name, run, *adders, **kwargs):
+        """Add a command that runs ``run``, taking the arguments of ``adders`` first."""
+        p = parent.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        for add in adders:
+            add(p)
+        return p
+
+    p = leaf(sub, "stats", _cmd_stats, add_input, help="context summary")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("pre", help="pre-processing")
-    p.set_defaults(run=_cmd_pre)
     pre = p.add_subparsers(dest="pre_command", required=True)
-    for name in ("transpose", "complement"):
-        q = pre.add_parser(name)
-        add_input(q)
-        q.add_argument("--out-format", choices=("tab", "cxt"), default="tab")
-    q = pre.add_parser("project")
-    add_input(q)
+    leaf(pre, "transpose", lambda args: _read_context(args).transpose(), add_input, add_output)
+    leaf(pre, "complement", lambda args: _read_context(args).complement(), add_input, add_output)
+    q = leaf(pre, "project", _cmd_project, add_input)
     q.add_argument("--keep-objects", type=_csv_list, default=None)
     q.add_argument("--keep-attributes", type=_csv_list, default=None)
     q.add_argument("--min-col-support", type=int, default=None)
-    q.add_argument("--out-format", choices=("tab", "cxt"), default="tab")
-    q = pre.add_parser("convert")
-    add_input(q)
-    q.add_argument("--out-format", choices=("tab", "cxt"), default="tab")
-    q = pre.add_parser("discretize")
-    add_input(q)
+    add_output(q)
+    leaf(pre, "convert", _read_context, add_input, add_output)
+    q = leaf(pre, "discretize", _cmd_discretize, add_input)
     q.add_argument("--bins", type=int, default=2)
-    q.add_argument("--binning", choices=("width", "freq"), default="width")
+    q.add_argument("--binning", choices=preprocess.BINNING_STRATEGIES, default="width")
     q.add_argument("--label-column", action="store_true", help="first CSV column holds object labels")
-    q.add_argument("--out-format", choices=("tab", "cxt"), default="tab")
+    add_output(q)
 
-    p = sub.add_parser("mine", help="itemset mining")
-    p.set_defaults(run=_cmd_mine)
-    add_input(p)
+    p = leaf(sub, "mine", _cmd_mine, add_input, help="itemset mining")
     p.add_argument("--minsup", type=_minsup_arg, default=1)
     p.add_argument("--set", dest="family", choices=_SETS, default="fi")
     p.add_argument("--strategy", choices=miner.STRATEGIES, default="levelwise")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("rules", help="association rules and implication bases")
-    p.set_defaults(run=_cmd_rules)
-    add_input(p)
+    p = leaf(sub, "rules", _cmd_rules, add_input, help="association rules and implication bases")
     p.add_argument("--basis", choices=_BASES, default="all")
     p.add_argument("--minsup", type=_minsup_arg, default=1)
     p.add_argument("--minconf", type=float, default=0.5)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("lattice", help="concept lattice")
-    p.set_defaults(run=_cmd_lattice)
-    add_input(p)
+    p = leaf(sub, "lattice", _cmd_lattice, add_input, help="concept lattice")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.add_argument("--label-mode", choices=("full", "reduced"), default="full")
+    p.add_argument("--label-mode", choices=lattice_mod.LABEL_MODES, default="full")
 
     p = sub.add_parser("post", help="post-processing of rule streams")
-    p.set_defaults(run=_cmd_post)
     post = p.add_subparsers(dest="post_command", required=True)
-    q = post.add_parser("filter", help="filter rule JSON-lines")
+    q = leaf(post, "filter", _cmd_filter, help="filter rule JSON-lines")
     q.add_argument("input", help="rule JSON-lines file, or -")
     q.add_argument("--premise-len", type=_len_window, default=None)
     q.add_argument("--consequent-len", type=_len_window, default=None)
     q.add_argument("--contain", type=_csv_list, default=[])
     q.add_argument("--not-contain", type=_csv_list, default=[])
-    q.add_argument("--side", choices=("premise", "consequent", "either"), default="either")
+    q.add_argument("--side", choices=postprocess.SIDES, default="either")
     q.add_argument("--format", choices=("text", "json"), default="json")
-    q = post.add_parser("topk", help="best rules by a measure")
+    q = leaf(post, "topk", _cmd_topk, help="best rules by a measure")
     q.add_argument("input", help="rule JSON-lines file, or -")
     q.add_argument("--top", type=int, required=True)
     q.add_argument("--by", choices=postprocess.MEASURES, default="support")
     q.add_argument("--format", choices=("text", "json"), default="json")
-    q = post.add_parser("color", help="highlight attributes in rendered text lines")
+    q = leaf(post, "color", _cmd_color, help="highlight attributes in rendered text lines")
     q.add_argument("input", help="text file, or -")
     q.add_argument("--color", type=_csv_list, required=True, metavar="ATTRS")
 
-    p = sub.add_parser("gen", help="random context generation")
-    p.set_defaults(run=_cmd_gen)
+    p = leaf(sub, "gen", _cmd_gen, help="random context generation")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-format", choices=("tab", "cxt"), default="tab")
+    add_output(p)
     return parser
 
 
 def _detect_format(path: str, override, default: str = "tab") -> str:
     if override:
         return override
-    for fmt in ("tab", "cxt", "csv"):
+    for fmt in _IN_FORMATS:
         if path.lower().endswith("." + fmt):
             return fmt
     return default
 
 
-def _read_context(path: str, override) -> BinaryContext:
-    fmt = _detect_format(path, override)
+def _read_context(args) -> BinaryContext:
+    fmt = _detect_format(args.input, args.in_format)
     if fmt == "csv":
         raise ConstraintError("CSV input needs discretization first (see: galmine pre discretize)")
-    return preprocess.parse_context(_read_input(path), fmt)
+    return preprocess.parse_context(_read_input(args.input), fmt)
 
 
 def _cmd_stats(args) -> list[str]:
-    ctx = _read_context(args.input, args.in_format)
+    ctx = _read_context(args)
     stats = ctx.stats()
     if args.format == "json":
         record = {
@@ -180,26 +177,15 @@ def _cmd_stats(args) -> list[str]:
     ]
 
 
-def _cmd_pre(args) -> str:
-    if args.pre_command == "discretize":
-        fmt = _detect_format(args.input, args.in_format, default="csv")
-        if fmt != "csv":
-            raise ConstraintError("discretize expects CSV input")
-        table = preprocess.parse_csv(_read_input(args.input), has_label_column=args.label_column)
-        ctx = preprocess.discretize(table, preprocess.BinningSpec(strategy=args.binning, bin_count=args.bins))
-        return preprocess.write_context(ctx, args.out_format)
-    ctx = _read_context(args.input, args.in_format)
-    if args.pre_command == "transpose":
-        ctx = ctx.transpose()
-    elif args.pre_command == "complement":
-        ctx = ctx.complement()
-    elif args.pre_command == "project":
-        ctx = ctx.project(
-            keep_objects=args.keep_objects,
-            keep_attributes=args.keep_attributes,
-            min_column_support=args.min_col_support,
-        )
-    return preprocess.write_context(ctx, args.out_format)
+def _cmd_project(args) -> BinaryContext:
+    return _read_context(args).project(args.keep_objects, args.keep_attributes, args.min_col_support)
+
+
+def _cmd_discretize(args) -> BinaryContext:
+    if _detect_format(args.input, args.in_format, default="csv") != "csv":
+        raise ConstraintError("discretize expects CSV input")
+    table = preprocess.parse_csv(_read_input(args.input), has_label_column=args.label_column)
+    return preprocess.discretize(table, preprocess.BinningSpec(strategy=args.binning, bin_count=args.bins))
 
 
 _SETS = {
@@ -211,7 +197,7 @@ _SETS = {
 
 
 def _cmd_mine(args) -> list[str]:
-    ctx = _read_context(args.input, args.in_format)
+    ctx = _read_context(args)
     sets = _SETS[args.family](ctx, args)
     render = miner.render_itemsets_jsonl if args.format == "json" else miner.render_itemsets_text
     return render(sets, ctx.attribute_labels)
@@ -233,38 +219,41 @@ def _render_rules(rules, fmt: str) -> list[str]:
 
 
 def _cmd_rules(args) -> list[str]:
-    ctx = _read_context(args.input, args.in_format)
+    ctx = _read_context(args)
     return _render_rules(_BASES[args.basis](ctx, args), args.format)
 
 
 def _cmd_lattice(args) -> str:
-    lat = lattice_mod.build_lattice(_read_context(args.input, args.in_format))
+    lat = lattice_mod.build_lattice(_read_context(args))
     if args.dot:
         return lattice_mod.export_dot(lat, label_mode=args.label_mode)
     return lattice_mod.export_json(lat) + "\n"
 
 
-def _cmd_post(args) -> list[str]:
-    if args.post_command == "color":
-        return postprocess.colorize(_split_lines(_read_input(args.input)), args.color, enabled=True)
+def _cmd_filter(args) -> list[str]:
     parsed = rules_mod.parse_rules_jsonl(_read_input(args.input))
-    if args.post_command == "filter":
-        spec = postprocess.FilterSpec(
-            premise_len=args.premise_len,
-            consequent_len=args.consequent_len,
-            must_contain=frozenset(args.contain),
-            must_not_contain=frozenset(args.not_contain),
-            side=args.side,
-        )
-        out = postprocess.filter_rules(parsed, spec)
-    else:
-        out = postprocess.top_k(parsed, args.by, args.top)
-    return _render_rules(out, args.format)
+    spec = postprocess.FilterSpec(
+        premise_len=args.premise_len,
+        consequent_len=args.consequent_len,
+        must_contain=frozenset(args.contain),
+        must_not_contain=frozenset(args.not_contain),
+        side=args.side,
+    )
+    return _render_rules(postprocess.filter_rules(parsed, spec), args.format)
 
 
-def _cmd_gen(args) -> str:
+def _cmd_topk(args) -> list[str]:
+    parsed = rules_mod.parse_rules_jsonl(_read_input(args.input))
+    return _render_rules(postprocess.top_k(parsed, args.by, args.top), args.format)
+
+
+def _cmd_color(args) -> list[str]:
+    return postprocess.colorize(_split_lines(_read_input(args.input)), args.color, enabled=True)
+
+
+def _cmd_gen(args) -> BinaryContext:
     spec = toolbox.GenSpec(rows=args.rows, cols=args.cols, density=args.density, seed=args.seed)
-    return preprocess.write_context(toolbox.random_context(spec), args.out_format)
+    return toolbox.random_context(spec)
 
 
 def _chunks(lines: list[str]):
@@ -276,14 +265,16 @@ def _chunks(lines: list[str]):
 
 def main(argv=None) -> int:
     """Run one command; the only writer of stdout.  A command returns a
-    text or a list of lines, written as UTF-8 bytes with ``\\n`` line
-    ends whatever the locale or platform."""
+    text, a list of lines or a context (written in --out-format), sent as
+    UTF-8 bytes with ``\\n`` line ends whatever the locale or platform."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if sys.stdout is None:
             raise OSError("standard output is closed")
         out = args.run(args)
+        if isinstance(out, BinaryContext):
+            out = preprocess.write_context(out, args.out_format)
         stdout = sys.stdout.buffer
         for text in [out] if isinstance(out, str) else _chunks(out):
             stdout.write(text.encode("utf-8"))
@@ -297,17 +288,18 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 0
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"usage error: {exc}"
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"parse error: {exc}"
     except GalmineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"error: {exc}"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
+    # to a live stderr only: print() to a stderr of None writes to stdout
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr, flush=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,20 @@
 """Closed sets of a closure operator and their order: one Next-Closure
-enumerator (lattice, Duquenne-Guigues), one superset index (lattice edges,
-closed rule bases)."""
+enumerator (lattice, Duquenne-Guigues) with its attribute guard and
+canonical order, one superset index (lattice edges, closed rule bases)."""
 
 from galmine._bitset import bits_of
+from galmine.errors import ResourceError
+
+
+def check_width(m: int, max_attributes: int, guard: str) -> None:
+    """Refuse to enumerate over more than ``max_attributes`` attributes."""
+    if m > max_attributes:
+        raise ResourceError(f"context has {m} attributes, above the {guard} guard of {max_attributes}")
+
+
+def canonical(mask: int):
+    """Sort key of a mask: size, then id-lex."""
+    return mask.bit_count(), bits_of(mask)
 
 
 def context_closure(ctx):

@@ -11,9 +11,11 @@ import json
 from dataclasses import dataclass
 
 from galmine._bitset import bits_of
-from galmine.closures import context_closure, covers, lectic_closed, superset_index
+from galmine.closures import canonical, check_width, context_closure, covers, lectic_closed, superset_index
 from galmine.context import BinaryContext, Itemset, TidSet
-from galmine.errors import ResourceError
+from galmine.errors import ConstraintError
+
+LABEL_MODES = ("full", "reduced")
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,8 @@ class ConceptLattice:
 def build_lattice(ctx: BinaryContext, max_attributes: int = 20) -> ConceptLattice:
     """All concepts of the context, including the top (full extent) and
     the bottom (full intent, possibly empty extent)."""
-    m = ctx.n_attributes
-    if m > max_attributes:
-        raise ResourceError(f"context has {m} attributes, above the lattice guard of {max_attributes}")
-
-    closed_masks = sorted(lectic_closed(m, context_closure(ctx)), key=lambda c: (c.bit_count(), bits_of(c)))
+    check_width(ctx.n_attributes, max_attributes, "lattice")
+    closed_masks = sorted(lectic_closed(ctx.n_attributes, context_closure(ctx)), key=canonical)
     concepts = tuple(
         Concept(extent=bits_of(ctx.extent_mask(bits_of(c))), intent=bits_of(c)) for c in closed_masks
     )
@@ -65,8 +64,8 @@ def export_dot(lattice: ConceptLattice, label_mode: str = "full") -> str:
     ``reduced`` shows only the attributes and objects introduced at that
     node (attributes absent from every upper cover, objects absent from
     every lower cover)."""
-    if label_mode not in ("full", "reduced"):
-        raise ValueError(f"label_mode must be 'full' or 'reduced', got {label_mode!r}")
+    if label_mode not in LABEL_MODES:
+        raise ConstraintError(f"label_mode must be 'full' or 'reduced', got {label_mode!r}")
     uppers: dict[int, list[int]] = {}
     lowers: dict[int, list[int]] = {}
     for up, low in lattice.cover_edges:

@@ -7,6 +7,7 @@ from galmine.errors import ConstraintError
 from galmine.rules import AssociationRule
 
 MEASURES = ("support", "confidence", "lift", "conviction")
+SIDES = ("premise", "consequent", "either")
 
 RED = "\x1b[31m"
 RESET = "\x1b[0m"
@@ -30,7 +31,7 @@ class FilterSpec:
         for window in (self.premise_len, self.consequent_len):
             if window is not None and window[0] > window[1]:
                 raise ConstraintError(f"length window min exceeds max: {window}")
-        if self.side not in ("premise", "consequent", "either"):
+        if self.side not in SIDES:
             raise ConstraintError(f"side must be premise, consequent or either, got {self.side!r}")
         overlap = set(self.must_contain) & set(self.must_not_contain)
         if overlap:

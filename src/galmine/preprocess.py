@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from galmine.context import BinaryContext, _read_input, parse_cxt, parse_tab, write_cxt, write_tab
 from galmine.errors import ConstraintError, ParseError
 
-CONTEXT_FORMATS = ("tab", "cxt")
+_CONTEXT_IO = {"tab": (parse_tab, write_tab), "cxt": (parse_cxt, write_cxt)}
+CONTEXT_FORMATS = tuple(_CONTEXT_IO)
+BINNING_STRATEGIES = ("width", "freq")
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class BinningSpec:
     bin_count: int = 2
 
     def __post_init__(self):
-        if self.strategy not in ("width", "freq"):
+        if self.strategy not in BINNING_STRATEGIES:
             raise ConstraintError(f"binning strategy must be 'width' or 'freq', got {self.strategy!r}")
         if self.bin_count < 1:
             raise ConstraintError(f"bin_count must be >= 1, got {self.bin_count}")
@@ -108,15 +110,12 @@ def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
     return NumericTable(column_names=columns, rows=tuple(rows), object_labels=tuple(labels))
 
 
-def _fmt(value: float) -> str:
-    return repr(value)
-
-
-def _column_bins(values, spec: BinningSpec):
+def _column_bins(name: str, values, spec: BinningSpec):
     """Per-value bin index plus (lo, hi) boundaries per bin.
 
     Equal-width partitions [min, max] into equal-length intervals, each
-    half-open except the last.  Equal-frequency cuts at the
+    half-open except the last; a width that is not a finite positive
+    float raises ConstraintError.  Equal-frequency cuts at the
     ceil(k*n/bins)-th order statistics; a value equal to a cut belongs
     to the lowest bin whose cut reaches it."""
     bins = spec.bin_count
@@ -125,6 +124,8 @@ def _column_bins(values, spec: BinningSpec):
         if lo == hi:
             return [0] * len(values), [(lo, hi)]
         width = (hi - lo) / bins
+        if not 0 < width < math.inf:
+            raise ConstraintError(f"cannot split column {name!r} ({lo!r} to {hi!r}) into {bins} equal-width bins")
         edges = [lo + k * width for k in range(bins)] + [hi]
         return [min(int((v - lo) / width), bins - 1) for v in values], list(zip(edges, edges[1:]))
     ordered = sorted(values)
@@ -146,33 +147,31 @@ def discretize(table: NumericTable, spec: BinningSpec) -> BinaryContext:
     ctx_rows = [set() for _ in table.rows]
     for col, name in enumerate(table.column_names):
         values = [row[col] for row in table.rows]
-        assignment, boundaries = _column_bins(values, spec)
+        assignment, boundaries = _column_bins(name, values, spec)
         occupied = sorted(set(assignment))
         remap = {}
         for k in occupied:
             lo, hi = boundaries[k]
             bracket = "]" if k == occupied[-1] else ")"
             remap[k] = len(attr_labels)
-            attr_labels.append(f"{name}[{_fmt(lo)};{_fmt(hi)}{bracket}")
+            attr_labels.append(f"{name}[{lo!r};{hi!r}{bracket}")
         for i, k in enumerate(assignment):
             ctx_rows[i].add(remap[k])
     return BinaryContext(table.object_labels, attr_labels, ctx_rows)
 
 
+def _context_io(fmt: str):
+    if fmt not in _CONTEXT_IO:
+        raise ConstraintError(f"unknown context format {fmt!r}, expected one of {CONTEXT_FORMATS}")
+    return _CONTEXT_IO[fmt]
+
+
 def parse_context(text: str, fmt: str) -> BinaryContext:
-    if fmt == "tab":
-        return parse_tab(text)
-    if fmt == "cxt":
-        return parse_cxt(text)
-    raise ConstraintError(f"unknown context format {fmt!r}, expected one of {CONTEXT_FORMATS}")
+    return _context_io(fmt)[0](text)
 
 
 def write_context(ctx: BinaryContext, fmt: str) -> str:
-    if fmt == "tab":
-        return write_tab(ctx)
-    if fmt == "cxt":
-        return write_cxt(ctx)
-    raise ConstraintError(f"unknown context format {fmt!r}, expected one of {CONTEXT_FORMATS}")
+    return _context_io(fmt)[1](ctx)
 
 
 def convert(path: str, in_format: str, out_format: str) -> str:

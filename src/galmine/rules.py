@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from galmine._bitset import bits_of, mask_of
-from galmine.closures import context_closure, covers, lectic_closed, superset_index
+from galmine.closures import canonical, check_width, context_closure, covers, lectic_closed, superset_index
 from galmine.context import BinaryContext, Itemset, _split_lines
-from galmine.errors import ConstraintError, ParseError, ResourceError
+from galmine.errors import ConstraintError, ParseError
 from galmine.miner import _levelwise, _mine_class_list, resolve_minsup
 
 
@@ -192,11 +192,7 @@ def duquenne_guigues(ctx: BinaryContext, max_attributes: int = 20) -> list[Assoc
     The threshold plays no role here.  Contexts wider than
     ``max_attributes`` are refused to bound the fixpoint computation.
     """
-    m = ctx.n_attributes
-    if m > max_attributes:
-        raise ResourceError(
-            f"context has {m} attributes, above the Duquenne-Guigues guard of {max_attributes}"
-        )
+    check_width(ctx.n_attributes, max_attributes, "Duquenne-Guigues")
     implications: list[tuple[int, int]] = []
 
     def preclose(mask: int) -> int:
@@ -211,12 +207,12 @@ def duquenne_guigues(ctx: BinaryContext, max_attributes: int = 20) -> list[Assoc
 
     ctx_closure = context_closure(ctx)
     # lazy: an implication found here already saturates the next set
-    for a in lectic_closed(m, preclose):
+    for a in lectic_closed(ctx.n_attributes, preclose):
         c = ctx_closure(a)
         if c != a:
             implications.append((a, c))
     out = []
-    for p, c in sorted(implications, key=lambda pc: (pc[0].bit_count(), bits_of(pc[0]))):
+    for p, c in sorted(implications, key=lambda pc: canonical(pc[0])):
         p_items = bits_of(p)
         supp = ctx.extent_mask(p_items).bit_count()
         out.append(_rule(ctx, p_items, bits_of(c & ~p), supp, supp))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -6,8 +7,8 @@ import sys
 
 import pytest
 
-from galmine import mine_frequent, parse_cxt, parse_tab, write_cxt
-from galmine.cli import main
+from galmine import lattice, miner, mine_frequent, parse_cxt, parse_tab, postprocess, preprocess, write_cxt
+from galmine.cli import _build_parser, main
 from galmine.miner import render_itemsets_text
 
 from conftest import BAD_RULE_RECORDS, K4_TAB, RULE_RECORD
@@ -474,3 +475,83 @@ def test_project_unknown_label_same_message_whatever_the_hash_seed(k4_file):
     for seed in ("1", "2", "3"):
         run = subprocess.run(argv, capture_output=True, env=os.environ | {"PYTHONHASHSEED": seed})
         assert (run.returncode, run.stdout, run.stderr) == (3, b"", b"error: unknown object label: 'zz'\n")
+
+
+def _subcommands(parser):
+    """name -> parser of each subcommand of ``parser``; empty for a leaf."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def _leaves(parser, path=()):
+    """(path, parser) of every leaf command below ``parser``."""
+    for name, sub in _subcommands(parser).items():
+        if _subcommands(sub):
+            yield from _leaves(sub, (*path, name))
+        else:
+            yield (*path, name), sub
+
+
+def test_every_leaf_runs_its_own_command():
+    root = _build_parser()
+    leaves = dict(_leaves(root))
+    assert len(leaves) == 13 and ("pre", "discretize") in leaves and ("post", "color") in leaves
+    for path, parser in leaves.items():
+        assert callable(parser.get_default("run")), path
+    for group in (root, _subcommands(root)["pre"], _subcommands(root)["post"]):
+        assert group.get_default("run") is None
+
+
+# each CLI choice list and the library tuple it is read from
+OWNED_CHOICES = {
+    "in-format": ("--in-format", (*preprocess.CONTEXT_FORMATS, "csv")),
+    "out-format": ("--out-format", preprocess.CONTEXT_FORMATS),
+    "binning": ("--binning", preprocess.BINNING_STRATEGIES),
+    "label-mode": ("--label-mode", lattice.LABEL_MODES),
+    "side": ("--side", postprocess.SIDES),
+    "strategy": ("--strategy", miner.STRATEGIES),
+    "measure": ("--by", postprocess.MEASURES),
+}
+
+
+@pytest.mark.parametrize("flag, owned", OWNED_CHOICES.values(), ids=OWNED_CHOICES.keys())
+def test_choice_lists_are_the_library_tuples(flag, owned):
+    found = [
+        action.choices
+        for _, parser in _leaves(_build_parser())
+        for action in parser._actions
+        if flag in action.option_strings
+    ]
+    assert found and all(tuple(choices) == owned for choices in found)
+
+
+def _sh(command: str):
+    return subprocess.run(["sh", "-c", command], capture_output=True)
+
+
+def test_closed_stderr_drops_diagnostics(tmp_path):
+    galmine = f"{shlex.quote(sys.executable)} -m galmine"
+    missing = shlex.quote(str(tmp_path / "missing.tab"))
+    run = _sh(f"{galmine} stats {missing} 2>&-; echo $?")
+    assert (run.stdout, run.stderr) == (b"2\n", b"")
+    # the next stage of a pipe reads no message as data
+    run = _sh(f"{galmine} mine {missing} 2>&- | {galmine} post topk - --top 1")
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
+
+
+def test_stderr_pipe_closed_by_its_reader_keeps_exit_code(tmp_path):
+    argv = [sys.executable, "-m", "galmine", "stats", str(tmp_path / "missing.tab")]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stderr.close()
+    out = proc.stdout.read()
+    proc.stdout.close()
+    assert (proc.wait(), out) == (2, b"")
+
+
+def test_discretize_range_overflowing_a_float_exit3(capsys, tmp_path):
+    csv = tmp_path / "big.csv"
+    csv.write_text("x\n-1e308\n1e308\n0\n")
+    code, out, err = run_cli(capsys, "pre", "discretize", str(csv), "--bins", "2")
+    assert (code, out, err) == (3, "", "error: cannot split column 'x' (-1e+308 to 1e+308) into 2 equal-width bins\n")
+    code, out, err = run_cli(capsys, "pre", "discretize", str(csv), "--bins", "2", "--binning", "freq")
+    assert (code, err) == (0, "")

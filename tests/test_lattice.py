@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from galmine import BinaryContext, ResourceError, build_lattice, export_dot, export_json
+from galmine import BinaryContext, ConstraintError, ResourceError, build_lattice, export_dot, export_json
 
 import oracle
 from conftest import seeded_corpus
@@ -65,7 +65,7 @@ def test_transpose_duality_on_corpus():
 
 def test_guard():
     ctx = BinaryContext(["o1"], [f"a{j}" for j in range(25)], [set(range(25))])
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="^context has 25 attributes, above the lattice guard of 20$"):
         build_lattice(ctx)
     assert len(build_lattice(ctx, max_attributes=25).concepts) == 1
 
@@ -114,6 +114,11 @@ def test_export_dot_quoting():
     dot = export_dot(build_lattice(ctx))
     _check_dot_grammar(dot)
     assert 'weird\\"attr' in dot
+
+
+def test_export_dot_unknown_label_mode_is_a_constraint_error(k4):
+    with pytest.raises(ConstraintError, match="label_mode must be 'full' or 'reduced', got 'brief'"):
+        export_dot(build_lattice(k4), label_mode="brief")
 
 
 def test_export_json(k4):

@@ -84,6 +84,20 @@ def test_discretize_equal_frequency_median():
     assert ctx.rows == ((0,), (0,), (1,), (1,))
 
 
+@pytest.mark.parametrize("values", [[-1e308, 1e308, 0.0], [0.0, 5e-324]], ids=["range-overflows", "width-underflows"])
+def test_discretize_equal_width_refuses_a_range_without_finite_width(values):
+    with pytest.raises(ConstraintError, match=r"^cannot split column 'x' \(.+\) into 2 equal-width bins$"):
+        discretize(_table(values), BinningSpec("width", 2))
+    assert discretize(_table(values), BinningSpec("freq", 2)).n_attributes == 2
+
+
+def test_discretize_equal_width_extreme_finite_ranges():
+    ctx = discretize(_table([-8e307, 8e307, 0.0]), BinningSpec("width", 2))
+    assert (ctx.attribute_labels, ctx.rows) == (("x[-8e+307;0.0)", "x[0.0;8e+307]"), ((0,), (1,), (1,)))
+    ctx = discretize(_table([0.0, 1e-323, 5e-324]), BinningSpec("width", 2))
+    assert (ctx.attribute_labels, ctx.rows) == (("x[0.0;5e-324)", "x[5e-324;1e-323]"), ((0,), (1,), (1,)))
+
+
 def test_discretize_constant_column_collapses():
     ctx = discretize(_table([5, 5, 5]), BinningSpec("width", 3))
     assert ctx.n_attributes == 1

@@ -187,7 +187,7 @@ def test_duquenne_guigues_empty_premise():
 
 def test_duquenne_guigues_guard():
     ctx = BinaryContext(["o1"], [f"a{j}" for j in range(21)], [set(range(21))])
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="^context has 21 attributes, above the Duquenne-Guigues guard of 20$"):
         duquenne_guigues(ctx)
     assert len(duquenne_guigues(ctx, max_attributes=21)) >= 0
 
