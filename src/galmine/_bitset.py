@@ -23,3 +23,12 @@ def bits_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def transpose(masks, width: int) -> tuple[int, ...]:
+    """The columns of the bit matrix whose rows are ``masks``, each below
+    ``1 << width``: bit i of column j is bit j of ``masks[i]``."""
+    if not masks or not width:  # f"{0:00b}" is "0", not ""
+        return (0,) * width
+    rows = [f"{mask:0{width}b}" for mask in reversed(masks)]
+    return tuple(int("".join(col), 2) for col in zip(*rows))[::-1]

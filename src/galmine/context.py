@@ -6,6 +6,12 @@ sets) and columns (per-attribute object sets) are kept as int bitmasks,
 so the derivation operators are a handful of big-int ANDs.  Itemsets and
 tidsets appear in the public API as strictly ascending tuples of ids.
 
+Every context is built from its row masks by one path, ``_set_masks``:
+parsers, ``discretize``, ``random_context`` and the transformations pass
+masks to ``_from_masks``, and ``BinaryContext(...)`` turns its id lists
+into masks first.  That path checks the labels and the row count, and
+derives the columns by one transposition (``_bitset.transpose``).
+
 Two text formats are supported:
 
 * TAB: one object per line, whitespace-separated attribute tokens, lines
@@ -36,7 +42,7 @@ CSV                     the ``csv`` module's rule (``newline=""``): a
 import sys
 from dataclasses import dataclass
 
-from galmine._bitset import bits_of, mask_of
+from galmine._bitset import bits_of, mask_of, transpose
 from galmine.errors import ConstraintError, ParseError, UnknownLabelError
 
 Itemset = tuple[int, ...]
@@ -64,21 +70,14 @@ class BinaryContext:
         be in ``range(len(attribute_labels))``.  Labels must be pairwise
         distinct on each axis.  Duplicate ids within a row collapse.
         """
-        object_labels = tuple(object_labels)
         attribute_labels = tuple(attribute_labels)
-        if len(set(object_labels)) != len(object_labels):
-            raise ConstraintError("object labels must be pairwise distinct")
-        if len(set(attribute_labels)) != len(attribute_labels):
-            raise ConstraintError("attribute labels must be pairwise distinct")
         m = len(attribute_labels)
         row_masks = []
         for row in rows:
-            mask = mask_of(row)
-            if mask >> m:
+            ids = tuple(row)
+            if not all(0 <= j < m for j in ids):
                 raise ConstraintError(f"attribute id out of range in row {len(row_masks)}")
-            row_masks.append(mask)
-        if len(row_masks) != len(object_labels):
-            raise ConstraintError("one row per object label required")
+            row_masks.append(mask_of(ids))
         self._set_masks(object_labels, attribute_labels, row_masks)
 
     def __setattr__(self, name, value):
@@ -91,16 +90,20 @@ class BinaryContext:
         return ctx
 
     def _set_masks(self, object_labels, attribute_labels, row_masks, col_masks=None):
-        """Store validated labels and row masks, and columns unless given."""
-        object.__setattr__(self, "_object_labels", tuple(object_labels))
-        object.__setattr__(self, "_attribute_labels", tuple(attribute_labels))
-        object.__setattr__(self, "_row_masks", tuple(row_masks))
+        """Check and store the labels and the row masks, each below
+        ``1 << len(attribute_labels)``; the columns are derived unless given.
+        Every context is built here."""
+        object_labels, attribute_labels = tuple(object_labels), tuple(attribute_labels)
+        for axis, labels in (("object", object_labels), ("attribute", attribute_labels)):
+            if len(set(labels)) != len(labels):
+                raise ConstraintError(f"{axis} labels must be pairwise distinct")
+        if len(row_masks) != len(object_labels):
+            raise ConstraintError("one row per object label required")
         if col_masks is None:
-            col_masks = [0] * len(attribute_labels)
-            for i, mask in enumerate(row_masks):
-                bit = 1 << i
-                for j in bits_of(mask):
-                    col_masks[j] |= bit
+            col_masks = transpose(row_masks, len(attribute_labels))
+        object.__setattr__(self, "_object_labels", object_labels)
+        object.__setattr__(self, "_attribute_labels", attribute_labels)
+        object.__setattr__(self, "_row_masks", tuple(row_masks))
         object.__setattr__(self, "_col_masks", tuple(col_masks))
 
     # -- basic shape ---------------------------------------------------
@@ -229,15 +232,11 @@ class BinaryContext:
             attr_ids = [
                 j for j in attr_ids if (self._col_masks[j] & kept_obj_mask).bit_count() >= min_column_support
             ]
-        remap = {j: k for k, j in enumerate(attr_ids)}
-        rows = []
-        for i in obj_ids:
-            mask = self._row_masks[i]
-            rows.append([remap[j] for j in bits_of(mask) if j in remap])
-        return BinaryContext(
+        kept = transpose([self._col_masks[j] for j in attr_ids], self.n_objects)
+        return BinaryContext._from_masks(
             [self._object_labels[i] for i in obj_ids],
             [self._attribute_labels[j] for j in attr_ids],
-            rows,
+            [kept[i] for i in obj_ids],
         )
 
     def stats(self) -> ContextStats:
@@ -309,16 +308,13 @@ def parse_tab(text: str) -> BinaryContext:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row = set()
+        row = 0
         for token in stripped.split():
-            if token not in attr_order:
-                attr_order[token] = len(attr_order)
-            row.add(attr_order[token])
+            row |= 1 << attr_order.setdefault(token, len(attr_order))
         rows.append(row)
     if not rows:
         raise ParseError("TAB input contains no data lines")
-    labels = [f"o{i + 1}" for i in range(len(rows))]
-    return BinaryContext(labels, list(attr_order), rows)
+    return BinaryContext._from_masks([f"o{i + 1}" for i in range(len(rows))], attr_order, rows)
 
 
 def write_tab(ctx: BinaryContext) -> str:
@@ -343,6 +339,9 @@ def write_tab(ctx: BinaryContext) -> str:
 
 
 # -- CXT format -----------------------------------------------------------
+
+_CXT_MARKS = str.maketrans("", "", ".X")
+_CXT_BITS = str.maketrans(".X", "01")
 
 
 def parse_cxt(text: str) -> BinaryContext:
@@ -369,24 +368,19 @@ def parse_cxt(text: str) -> BinaryContext:
     expected = 5 + n + m + n
     if len(lines) != expected:
         raise ParseError(f"CXT declares {n} objects and {m} attributes but has {len(lines)} lines, expected {expected}")
-    object_labels = lines[5 : 5 + n]
-    attribute_labels = lines[5 + n : 5 + n + m]
-    if len(set(object_labels)) != n:
-        raise ParseError("CXT object names must be distinct")
-    if len(set(attribute_labels)) != m:
-        raise ParseError("CXT attribute names must be distinct")
-    rows = []
-    for k, line in enumerate(lines[5 + n + m :]):
+    matrix = lines[5 + n + m :]
+    for k, line in enumerate(matrix):
         if len(line) != m:
             raise ParseError(f"CXT matrix line {k + 1} has {len(line)} characters, expected {m}")
-        row = set()
-        for j, ch in enumerate(line):
-            if ch == "X":
-                row.add(j)
-            elif ch != ".":
-                raise ParseError(f"CXT matrix line {k + 1} contains invalid character {ch!r}")
-        rows.append(row)
-    return BinaryContext(object_labels, attribute_labels, rows)
+        invalid = line.translate(_CXT_MARKS)
+        if invalid:
+            raise ParseError(f"CXT matrix line {k + 1} contains invalid character {invalid[0]!r}")
+    rows = [int(line[::-1].translate(_CXT_BITS) or "0", 2) for line in matrix]
+    try:
+        return BinaryContext._from_masks(lines[5 : 5 + n], lines[5 + n : 5 + n + m], rows)
+    except ConstraintError:  # a repeated label, the one check left to fail
+        axis = "object" if len(set(lines[5 : 5 + n])) != n else "attribute"
+        raise ParseError(f"CXT {axis} names must be distinct") from None
 
 
 def write_cxt(ctx: BinaryContext) -> str:

@@ -111,7 +111,8 @@ def parse_csv(text: str, has_label_column: bool = False) -> NumericTable:
 
 
 def _column_bins(name: str, values, spec: BinningSpec):
-    """Per-value bin index plus (lo, hi) boundaries per bin.
+    """Per-value bin index, and the (lo, hi) boundaries of each occupied
+    bin in bin order; the cost does not depend on the bin count.
 
     Equal-width partitions [min, max] into equal-length intervals, each
     half-open except the last; a width that is not a finite positive
@@ -122,16 +123,28 @@ def _column_bins(name: str, values, spec: BinningSpec):
     if spec.strategy == "width":
         lo, hi = min(values), max(values)
         if lo == hi:
-            return [0] * len(values), [(lo, hi)]
-        width = (hi - lo) / bins
+            return [0] * len(values), {0: (lo, hi)}
+        try:
+            width = (hi - lo) / bins
+        except OverflowError:  # a count beyond the float range
+            width = 0.0
         if not 0 < width < math.inf:
             raise ConstraintError(f"cannot split column {name!r} ({lo!r} to {hi!r}) into {bins} equal-width bins")
-        edges = [lo + k * width for k in range(bins)] + [hi]
-        return [min(int((v - lo) / width), bins - 1) for v in values], list(zip(edges, edges[1:]))
-    ordered = sorted(values)
-    n = len(values)
-    cuts = [ordered[math.ceil(k * n / bins) - 1] for k in range(1, bins + 1)]
-    return [bisect_left(cuts, v) for v in values], list(zip([ordered[0]] + cuts, cuts))
+        assignment = [min(int((v - lo) / width), bins - 1) for v in values]
+
+        def edge(k):
+            return lo + k * width if k < bins else hi
+
+    else:
+        ordered = sorted(values)
+        n = len(values)
+        # with p values below v, cut k (order statistic ceil(k*n/bins)) is below v iff k <= p*bins/n
+        assignment = [bisect_left(ordered, v) * bins // n for v in values]
+
+        def edge(k):
+            return ordered[(k * n - 1) // bins] if k else ordered[0]
+
+    return assignment, {k: (edge(k), edge(k + 1)) for k in sorted(set(assignment))}
 
 
 def discretize(table: NumericTable, spec: BinningSpec) -> BinaryContext:
@@ -144,20 +157,17 @@ def discretize(table: NumericTable, spec: BinningSpec) -> BinaryContext:
     if not table.rows:
         raise ConstraintError("cannot discretize an empty table")
     attr_labels: list[str] = []
-    ctx_rows = [set() for _ in table.rows]
+    ctx_rows = [0] * len(table.rows)
     for col, name in enumerate(table.column_names):
         values = [row[col] for row in table.rows]
         assignment, boundaries = _column_bins(name, values, spec)
-        occupied = sorted(set(assignment))
-        remap = {}
-        for k in occupied:
-            lo, hi = boundaries[k]
-            bracket = "]" if k == occupied[-1] else ")"
-            remap[k] = len(attr_labels)
-            attr_labels.append(f"{name}[{lo!r};{hi!r}{bracket}")
-        for i, k in enumerate(assignment):
-            ctx_rows[i].add(remap[k])
-    return BinaryContext(table.object_labels, attr_labels, ctx_rows)
+        last = max(boundaries)
+        bit = {}
+        for k, (lo, hi) in boundaries.items():
+            bit[k] = 1 << len(attr_labels)
+            attr_labels.append(f"{name}[{lo!r};{hi!r}{']' if k == last else ')'}")
+        ctx_rows = [row | bit[k] for row, k in zip(ctx_rows, assignment)]
+    return BinaryContext._from_masks(table.object_labels, attr_labels, ctx_rows)
 
 
 def _context_io(fmt: str):

@@ -35,12 +35,12 @@ def random_context(spec: GenSpec) -> BinaryContext:
     rng = random.Random(spec.seed)
     rows = []
     for _ in range(spec.rows):
-        row = set()
+        row = 0
         for j in range(spec.cols):
             if rng.random() < spec.density:
-                row.add(j)
+                row |= 1 << j
         rows.append(row)
-    return BinaryContext(
+    return BinaryContext._from_masks(
         [f"o{i + 1}" for i in range(spec.rows)],
         [f"a{j + 1}" for j in range(spec.cols)],
         rows,

@@ -14,13 +14,43 @@ canonical orders, so they compare with ``==``.
 * The closed-set structure as it was before ``galmine.closures``: one
   Next-Closure loop per caller, lattice covers by pairwise intermediate
   elimination, and pairwise upper-set scans in the closed rule bases.
+* Context building before ``_bitset.transpose``: each column derived one
+  bit at a time from the row masks, and each CXT matrix line checked and
+  read one character at a time.
 """
 
 from bisect import bisect_left
 
 from galmine._bitset import bits_of, mask_of
+from galmine.errors import ParseError
 from galmine.miner import EquivalenceClass, MinedSet, _join_candidates, resolve_minsup
 from galmine.rules import _diff, _rule, _sort_rules
+
+
+def column_masks(row_masks, m):
+    """The column masks of ``m``-bit ``row_masks``, one bit at a time."""
+    cols = [0] * m
+    for i, mask in enumerate(row_masks):
+        for j in bits_of(mask):
+            cols[j] |= 1 << i
+    return tuple(cols)
+
+
+def cxt_rows(matrix, m):
+    """The row masks of CXT matrix lines ``m`` wide, one character at a
+    time; the first bad line raises ``parse_cxt``'s ParseError."""
+    rows = []
+    for k, line in enumerate(matrix):
+        if len(line) != m:
+            raise ParseError(f"CXT matrix line {k + 1} has {len(line)} characters, expected {m}")
+        mask = 0
+        for j, ch in enumerate(line):
+            if ch == "X":
+                mask |= 1 << j
+            elif ch != ".":
+                raise ParseError(f"CXT matrix line {k + 1} contains invalid character {ch!r}")
+        rows.append(mask)
+    return tuple(rows)
 
 
 def closure_mask(ctx, extent):

@@ -555,3 +555,14 @@ def test_discretize_range_overflowing_a_float_exit3(capsys, tmp_path):
     assert (code, out, err) == (3, "", "error: cannot split column 'x' (-1e+308 to 1e+308) into 2 equal-width bins\n")
     code, out, err = run_cli(capsys, "pre", "discretize", str(csv), "--bins", "2", "--binning", "freq")
     assert (code, err) == (0, "")
+
+
+def test_discretize_bin_count_beyond_a_float(capsys, tmp_path):
+    csv = tmp_path / "t.csv"
+    csv.write_text("x\n1\n2\n3\n")
+    bins = "1" + "0" * 400
+    code, out, err = run_cli(capsys, "pre", "discretize", str(csv), "--bins", bins)
+    assert (code, out, err) == (3, "", f"error: cannot split column 'x' (1.0 to 3.0) into {bins} equal-width bins\n")
+    # one bin per distinct value, found without a list of 10**400 cuts
+    code, out, err = run_cli(capsys, "pre", "discretize", str(csv), "--bins", bins, "--binning", "freq")
+    assert (code, out, err) == (0, "x[1.0;1.0)\nx[1.0;2.0)\nx[2.0;3.0]\n", "")

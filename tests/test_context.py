@@ -19,8 +19,9 @@ def test_duplicate_labels_rejected():
 
 
 def test_out_of_range_attribute_rejected():
-    with pytest.raises(ConstraintError):
-        BinaryContext(["o1"], ["a"], [{1}])
+    for bad in (1, -1):
+        with pytest.raises(ConstraintError, match="^attribute id out of range in row 0$"):
+            BinaryContext(["o1"], ["a"], [{bad}])
 
 
 def test_duplicate_rows_allowed():

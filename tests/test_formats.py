@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from galmine import BinaryContext, ConstraintError, ParseError, parse_cxt, parse_tab, write_cxt, write_tab
@@ -97,9 +99,12 @@ def test_cxt_empty_rows_roundtrip():
 
 
 def test_cxt_bad_matrix_char():
-    bad = K4_CXT.replace("XXX.", "XXx.")
-    with pytest.raises(ParseError):
-        parse_cxt(bad)
+    # "0", "1", " ", "_", "+" and the Arabic-Indic digit one are read by int(..., 2)
+    for ch in ("x", "0", "1", " ", "_", "+", "\u0661"):
+        bad = K4_CXT.replace("XX..", f"X{ch}..")
+        message = f"CXT matrix line 2 contains invalid character {ch!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_cxt(bad)
 
 
 def test_cxt_count_mismatch():

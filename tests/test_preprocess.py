@@ -143,6 +143,16 @@ def test_discretize_empty_table():
         discretize(NumericTable(("x",), (), ()), BinningSpec())
 
 
+def test_discretize_cost_does_not_grow_with_bin_count():
+    # only the occupied bins get edges: a per-bin list of 10**12 would not fit in memory
+    ctx = discretize(_table([1, 2, 3]), BinningSpec("width", 10**12))
+    assert ctx.attribute_labels == ("x[1.0;1.000000000002)", "x[2.0;2.000000000002)", "x[2.999999999998;3.0]")
+    assert ctx.rows == ((0,), (1,), (2,))
+    ctx = discretize(_table([3, 1, 2, 1]), BinningSpec("freq", 10**12))
+    assert ctx.attribute_labels == ("x[1.0;1.0)", "x[1.0;2.0)", "x[2.0;3.0]")
+    assert ctx.rows == ((2,), (0,), (1,), (0,))
+
+
 def test_discretize_max_value_kept():
     ctx = discretize(_table([0, 10]), BinningSpec("width", 5))
     assert sum(len(r) for r in ctx.rows) == 2
